@@ -134,10 +134,14 @@ class ConsensusAccumulator:
 
     def finalize(self) -> Hypervector:
         """Majority vote per bit; zero tallies copy the tiebreak bit."""
-        pos = self.counters > 0
-        tie = self.counters == 0
-        bits = (pos | (tie & (self._tiebreak.bits() == 1))).astype(np.uint8)
-        return Hypervector.from_bits(bits)
+        n_bits = num_words(self.dim) * 64
+        pos = np.zeros(n_bits, dtype=bool)
+        tie = np.zeros(n_bits, dtype=bool)
+        np.greater(self.counters, 0, out=pos[: self.dim])
+        np.equal(self.counters, 0, out=tie[: self.dim])
+        pos_words = np.packbits(pos, bitorder="little").view(np.uint64)
+        tie_words = np.packbits(tie, bitorder="little").view(np.uint64)
+        return Hypervector._wrap(self.dim, pos_words | (tie_words & self._tiebreak.words))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConsensusAccumulator):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import MILLION, ConsensusAccumulator
-from .encoding import EncoderConfig
+from .encoding import EncoderConfig, SignalEncoder
 from .errors import DataFormatError, InvalidValueError
 from .glue import ErrorFleet, FleetRound, GlueMember, GlueModel
 from .hil import ClassRegistry, HILModel
@@ -466,11 +466,15 @@ def _restore_acc(blob: bytes, ctx: SeedContext, dim: int) -> ConsensusAccumulato
     return acc
 
 
-def _hil_restore(config: dict, blobs: dict, registry: ClassRegistry | None = None) -> HILModel:
+def _hil_restore(config: dict, blobs: dict, registry: ClassRegistry | None = None,
+                 encoder: SignalEncoder | None = None) -> HILModel:
+    """Rebuild a model; ``encoder`` is reused when its config matches."""
     enc_cfg = _encoder_config_from(config["encoder"])
     if registry is None:
         registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
-    model = HILModel(enc_cfg, registry)
+    if encoder is not None and encoder.config != enc_cfg:
+        encoder = None
+    model = HILModel(enc_cfg, registry, _encoder=encoder)
     for lab in config["labels"]:
         lab = int(lab)
         acc = _restore_acc(
@@ -527,8 +531,6 @@ def _member_blobs(blobs: dict, index: int) -> dict:
 
 
 def _glue_restore(config: dict, blobs: dict, registry: ClassRegistry | None = None) -> GlueModel:
-    from .encoding import SignalEncoder
-
     dim = int(config["dim"])
     if registry is None:
         registry = ClassRegistry(int(config["registry_seed"]), dim)
@@ -568,6 +570,7 @@ def _glue_restore(config: dict, blobs: dict, registry: ClassRegistry | None = No
     glue._fusion = _restore_acc(
         blobs["fusion"], SeedContext(glue.seed, "tiebreak-glue", 0), dim
     )
+    glue._glue_vector = None
     return glue
 
 
@@ -598,13 +601,13 @@ def _fleet_state(fleet: ErrorFleet) -> tuple[dict, dict]:
 
 
 def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
-    registry = None
+    registry = encoder = None
     rounds = []
     for i, entry in enumerate(config["rounds"]):
         prefix = f"round/{i}/"
         sub = {k[len(prefix):]: v for k, v in blobs.items() if k.startswith(prefix)}
-        hil = _hil_restore(entry["hil"], sub, registry)
-        registry = hil.registry
+        hil = _hil_restore(entry["hil"], sub, registry, encoder)
+        registry, encoder = hil.registry, hil.encoder
         rounds.append(FleetRound(
             hil, int(entry["weight"]), int(entry["subset_size"]), int(entry["correct"]),
             int(entry["fleet_accuracy_millionths"]) / MILLION,

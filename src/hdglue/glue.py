@@ -32,8 +32,8 @@ from .errors import (
     UnknownMemberError,
     UntrainedModelError,
 )
-from .hil import ClassRegistry, HILModel
-from .hv import Hypervector, SeedContext, num_words, random_hv
+from .hil import ClassRegistry, HILModel, _batch_words
+from .hv import Hypervector, SeedContext, random_hv
 
 __all__ = ["ErrorFleet", "FleetRound", "GlueMember", "GlueModel", "fleet_correct", "round_weight"]
 
@@ -72,6 +72,7 @@ class GlueModel:
         self.members: dict[str, GlueMember] = {}
         self._next_index = 0
         self._fusion = ConsensusAccumulator(self.dim, SeedContext(seed, "tiebreak-glue", 0))
+        self._glue_vector: Hypervector | None = None
 
     @classmethod
     def build(cls, models, weights=None, names=None, seed: int = 0) -> "GlueModel":
@@ -94,7 +95,18 @@ class GlueModel:
 
     @property
     def glue_vector(self) -> Hypervector:
-        return self._fusion.finalize()
+        """Readout of the fusion tally, cached until the tally changes."""
+        if self._glue_vector is None:
+            self._glue_vector = self._fusion.finalize()
+        return self._glue_vector
+
+    def _fusion_add(self, term: Hypervector, weight: int) -> None:
+        self._fusion.add(term, weight / MILLION)
+        self._glue_vector = None
+
+    def _fusion_sub(self, term: Hypervector, weight: int) -> None:
+        self._fusion.sub(term, weight / MILLION)
+        self._glue_vector = None
 
     def active_names(self) -> list[str]:
         return [m.name for m in self.members.values() if m.active]
@@ -119,7 +131,7 @@ class GlueModel:
                 raise InvalidValueError(f"member name {name!r} belongs to a different model")
             member.weight = to_millionths(weight)
             if member.vector is not None:
-                self._fusion.add(member.model_id ^ member.vector, member.weight / MILLION)
+                self._fusion_add(member.model_id ^ member.vector, member.weight)
             member.active = True
             return name
         if not self.registry.compatible_with(model.registry):
@@ -144,7 +156,7 @@ class GlueModel:
         )
         self.members[name] = member
         if member.vector is not None:
-            self._fusion.add(member.model_id ^ member.vector, member.weight / MILLION)
+            self._fusion_add(member.model_id ^ member.vector, member.weight)
         return name
 
     def remove_model(self, name: str) -> None:
@@ -155,7 +167,7 @@ class GlueModel:
         if sum(m.active for m in self.members.values()) == 1:
             raise InvalidValueError("cannot remove the only active member")
         if member.vector is not None:
-            self._fusion.sub(member.model_id ^ member.vector, member.weight / MILLION)
+            self._fusion_sub(member.model_id ^ member.vector, member.weight)
         member.active = False
 
     def update_member(self, name: str, rows, labels) -> None:
@@ -169,8 +181,8 @@ class GlueModel:
         member.hil.update(rows, labels)
         new = member.hil.classification_vector
         if old is not None:
-            self._fusion.sub(member.model_id ^ old, member.weight / MILLION)
-        self._fusion.add(member.model_id ^ new, member.weight / MILLION)
+            self._fusion_sub(member.model_id ^ old, member.weight)
+        self._fusion_add(member.model_id ^ new, member.weight)
         member.vector = new
         member.labels = set(member.hil.labels())
 
@@ -213,7 +225,7 @@ class GlueModel:
         designated = min(picked, key=lambda m: (-m.weight, order[m.name]))
 
         for member in picked:
-            self._fusion.sub(member.model_id ^ member.vector, member.weight / MILLION)
+            self._fusion_sub(member.model_id ^ member.vector, member.weight)
             del self.members[member.name]
         if name is None:
             name = f"fold{index}"
@@ -231,7 +243,7 @@ class GlueModel:
             fold_acc=fold_acc,
         )
         self.members[name] = composite
-        self._fusion.add(composite.model_id ^ folded, composite.weight / MILLION)
+        self._fusion_add(composite.model_id ^ folded, composite.weight)
         return name
 
     # -- prediction ------------------------------------------------------
@@ -289,9 +301,7 @@ class GlueModel:
             elif rows.shape[0] != n_rows:
                 raise InvalidValueError("members disagree on query count")
             base = glue_words ^ member.model_id.words
-            q_words = np.empty((n_rows, num_words(self.dim)), dtype=np.uint64)
-            for i in range(n_rows):
-                q_words[i] = member.encoder.encode(rows[i]).words
+            q_words = _batch_words(member.encoder, rows)
             counts = _kernels.hamming_matrix(q_words ^ base[None, :], id_words)
             sims[mi] = 1.0 - counts / self.dim
         names = [m.name for m in picked]
@@ -415,9 +425,7 @@ class ErrorFleet:
         if rows.ndim != 2:
             raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
         n = rows.shape[0]
-        q_words = np.empty((n, num_words(self._encoder.dim)), dtype=np.uint64)
-        for i in range(n):
-            q_words[i] = self._encoder.encode(rows[i]).words
+        q_words = _batch_words(self._encoder, rows)
         picks = np.empty(n, dtype=np.int64)
         provenance = [""] * n
         from_memory = np.zeros(n, dtype=bool)
@@ -490,7 +498,7 @@ def fleet_correct(
     label_order = sorted(set(y.tolist()))
 
     shared = HILModel(config, registry)  # donor of the shared encoder
-    encoded = [shared.encoder.encode(rows[i]) for i in range(n_total)]
+    encoded = shared.encoder.encode_batch(rows)
     q_words = np.stack([e.words for e in encoded])
     id_words = registry.id_words(label_order)
     dim = config.dim
@@ -513,7 +521,7 @@ def fleet_correct(
     fleet_acc = 0.0
     while len(rounds) < max_rounds and wrong.size:
         subset = wrong
-        hil = shared if not rounds else HILModel(config, registry)
+        hil = shared if not rounds else HILModel(config, registry, _encoder=shared.encoder)
         hil.update_encoded([encoded[i] for i in subset], y[subset].tolist())
         sims = round_sims(hil, subset)
         own_picks = np.asarray(label_order)[np.argmax(sims, axis=1)]

@@ -76,6 +76,14 @@ class ClassRegistry:
         return f"ClassRegistry(seed={self.seed}, dim={self.dim})"
 
 
+def _batch_words(encoder: SignalEncoder, rows) -> np.ndarray:
+    """(n, words) matrix of ``encoder.encode_batch(rows)``."""
+    encoded = encoder.encode_batch(rows)
+    if not encoded:
+        return np.empty((0, num_words(encoder.dim)), dtype=np.uint64)
+    return np.stack([q.words for q in encoded])
+
+
 def _argmax_smallest(labels: list[int], scores: np.ndarray) -> int:
     # labels arrive sorted ascending, so the first maximum is the smallest label.
     return labels[int(np.argmax(scores))]
@@ -89,14 +97,16 @@ class HILModel:
     readout and the only piece another model ever needs at fusion time.
     """
 
-    def __init__(self, config: EncoderConfig, registry: ClassRegistry):
+    def __init__(self, config: EncoderConfig, registry: ClassRegistry, *,
+                 _encoder: SignalEncoder | None = None):
+        # ``_encoder`` lets models of one config share an encoder (fleet rounds).
         if registry.dim != config.dim:
             raise DimensionMismatchError(
                 f"registry dim {registry.dim} vs encoder dim {config.dim}"
             )
         self.config = config
         self.registry = registry
-        self.encoder = SignalEncoder(config)
+        self.encoder = SignalEncoder(config) if _encoder is None else _encoder
         self.class_accumulators: dict[int, ConsensusAccumulator] = {}
         self.class_bundles: dict[int, Hypervector] = {}
         self.example_counts: dict[int, int] = {}
@@ -126,8 +136,7 @@ class HILModel:
             raise InvalidValueError(f"expected a 2-d example matrix, got shape {rows.shape}")
         if rows.shape[0] != len(labels):
             raise InvalidValueError(f"{rows.shape[0]} rows vs {len(labels)} labels")
-        encoded = [self.encoder.encode(rows[i]) for i in range(rows.shape[0])]
-        self.update_encoded(encoded, labels)
+        self.update_encoded(self.encoder.encode_batch(rows), labels)
 
     def update_encoded(self, encoded, labels) -> None:
         """Same as :meth:`update` but from already encoded queries."""
@@ -173,15 +182,6 @@ class HILModel:
         if self.classification_vector is None:
             raise UntrainedModelError("model has no trained classes")
 
-    def _encode_words(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
-        out = np.empty((rows.shape[0], num_words(self.config.dim)), dtype=np.uint64)
-        for i in range(rows.shape[0]):
-            out[i] = self.encoder.encode(rows[i]).words
-        return out
-
     def _score_words(self, q_words: np.ndarray) -> tuple[list[int], np.ndarray]:
         """Similarity of unbound queries to every trained class ID: (n, C)."""
         self._require_trained()
@@ -202,7 +202,7 @@ class HILModel:
 
     def predict_batch(self, rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """(predicted labels, similarity matrix (n, C), class label order)."""
-        labels, sims = self._score_words(self._encode_words(rows))
+        labels, sims = self._score_words(_batch_words(self.encoder, rows))
         picks = np.asarray(labels, dtype=np.int64)[np.argmax(sims, axis=1)]
         return picks, sims, labels
 

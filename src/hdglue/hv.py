@@ -283,6 +283,21 @@ def random_table(ctx: SeedContext, n: int) -> np.ndarray:
     """Seeded uniform permutation of range(n) (Fisher-Yates, rejection draws)."""
     if n < 1:
         raise InvalidValueError("permutation length must be at least 1")
+    # Swap i takes the next draw of the stream below i + 1; read them all at
+    # once and keep the fast path only if HashStream.below would reject none.
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    draws = np.frombuffer(keyed_bytes(ctx, 8 * (n - 1)), dtype="<u8")
+    # below() rejects v >= 2**64 - (2**64 % bound)
+    slack = (np.uint64(_U64_MASK) % bounds + np.uint64(1)) % bounds
+    if not (draws <= np.uint64(_U64_MASK) - slack).all():
+        return _random_table_sequential(ctx, n)
+    table = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), (draws % bounds).tolist()):
+        table[i], table[j] = table[j], table[i]
+    return np.asarray(table, dtype=np.int64)
+
+
+def _random_table_sequential(ctx: SeedContext, n: int) -> np.ndarray:
     stream = HashStream(ctx)
     table = np.arange(n, dtype=np.int64)
     for i in range(n - 1, 0, -1):

@@ -1,0 +1,226 @@
+"""Multi-row calls encode in one batched pass, bit-identical to row by row.
+
+Each caller is run twice on the same input: once as shipped, with the
+single-row ``SignalEncoder.encode`` switched off so any per-row fallback
+fails loudly, and once as a per-row reference, with ``encode_batch``
+replaced by a loop over ``encode``. Both runs must agree exactly: same
+state digests, same similarity matrices, same picks and provenance.
+"""
+
+import numpy as np
+import pytest
+
+from hdglue import (
+    ClassRegistry,
+    DimensionMismatchError,
+    EncoderConfig,
+    GlueModel,
+    HILModel,
+    InvalidValueError,
+    SignalEncoder,
+    encoding,
+    similarity,
+)
+from hdglue.data_io import model_from_bytes, model_to_bytes
+from hdglue.glue import fleet_correct
+
+# Widths that are not a multiple of 64, two quantization depths.
+SHAPES = [
+    pytest.param(EncoderConfig(length=6, dim=130, num_levels=9, seed=3), id="dim130"),
+    pytest.param(EncoderConfig(length=9, dim=1000, num_levels=17, seed=4), id="dim1000"),
+]
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    """Chunks of about ten rows, so every batch below spans several."""
+    monkeypatch.setattr(encoding, "_CHUNK_ENTRIES", 1 << 11)
+
+
+def _per_row(self, rows):
+    return [self.encode(r) for r in np.asarray(rows, dtype=np.float64)]
+
+
+def _refuse(self, values):
+    raise AssertionError("a multi-row call fell back to single-row encode")
+
+
+def reference(monkeypatch, fn):
+    """``fn()`` with every batch encoded one row at a time through ``encode``."""
+    with monkeypatch.context() as m:
+        m.setattr(SignalEncoder, "encode_batch", _per_row)
+        return fn()
+
+
+def batched(monkeypatch, fn):
+    """``fn()`` with single-row ``encode`` switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(SignalEncoder, "encode", _refuse)
+        return fn()
+
+
+def labelled_rows(cfg, n, n_classes=3, seed=0):
+    """Class-shifted Gaussian rows, so models learn something from them."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, n)
+    means = rng.normal(0.0, 1.5, (n_classes, cfg.length))
+    return means[labels] + rng.normal(0.0, 0.8, (n, cfg.length)), labels.tolist()
+
+
+def with_nan(rows, k, c=1):
+    bad = np.array(rows, dtype=np.float64)
+    bad[k, c] = float("nan")
+    return bad
+
+
+# -- HILModel ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg", SHAPES)
+def test_update_on_a_matrix_equals_row_by_row(monkeypatch, small_chunks, cfg):
+    registry = ClassRegistry(cfg.seed, cfg.dim)
+    rows, labels = labelled_rows(cfg, 60)
+
+    def train():
+        model = HILModel(cfg, registry)
+        model.update(rows, labels)
+        return model
+
+    whole = batched(monkeypatch, train)
+    one_by_one = HILModel(cfg, registry)
+    for row, lab in zip(rows, labels):
+        one_by_one.update(row[None, :], [lab])
+    per_row = reference(monkeypatch, train)
+    assert whole.state_digest() == one_by_one.state_digest() == per_row.state_digest()
+
+
+@pytest.mark.parametrize("cfg", SHAPES)
+def test_hil_predict_batch_matches_per_row_reference(monkeypatch, small_chunks, cfg):
+    registry = ClassRegistry(cfg.seed, cfg.dim)
+    model = HILModel.train(*labelled_rows(cfg, 40), cfg, registry)
+    queries, _ = labelled_rows(cfg, 50, seed=1)
+    picks, sims, order = batched(monkeypatch, lambda: model.predict_batch(queries))
+    ref_picks, ref_sims, ref_order = reference(monkeypatch, lambda: model.predict_batch(queries))
+    assert order == ref_order
+    np.testing.assert_array_equal(picks, ref_picks)
+    np.testing.assert_array_equal(sims, ref_sims)
+    empty_picks, empty_sims, _ = model.predict_batch(np.empty((0, cfg.length)))
+    assert empty_picks.shape == (0,) and empty_sims.shape == (0, len(order))
+
+
+def test_hil_multi_row_calls_name_the_bad_row():
+    cfg = EncoderConfig(length=6, dim=130, num_levels=9, seed=3)
+    model = HILModel(cfg, ClassRegistry(3, 130))
+    rows, labels = labelled_rows(cfg, 12)
+    model.update(rows[:6], labels[:6])
+    before = model.state_digest()
+    with pytest.raises(InvalidValueError, match="row 4, component 1"):
+        model.update(with_nan(rows, 4), labels)
+    assert model.state_digest() == before  # nothing folded in
+    with pytest.raises(InvalidValueError, match="row 7, component 1"):
+        model.predict_batch(with_nan(rows, 7))
+    for call in (lambda r: model.update(r, labels), model.predict_batch):
+        with pytest.raises(DimensionMismatchError):
+            call(rows[:, :5])
+
+
+# -- GlueModel ---------------------------------------------------------------
+
+
+def glue_crew(dim=10_000, lengths=(32, 20, 9, 32)):
+    """Four members with their own encoders; the third is removed."""
+    registry = ClassRegistry(9, dim)
+    members = []
+    for i, length in enumerate(lengths):
+        cfg = EncoderConfig(length=length, dim=dim, num_levels=65, seed=20 + i)
+        members.append(HILModel.train(*labelled_rows(cfg, 30, seed=i), cfg, registry))
+    glue = GlueModel.build(members, weights=[1.0, 1.5, 2.0, 1.25], seed=2)
+    glue.remove_model("m2")
+    queries = {f"m{i}": labelled_rows(m.config, 80, seed=10 + i)[0]
+               for i, m in enumerate(members)}
+    return glue, queries
+
+
+def test_member_similarities_match_per_row_reference(monkeypatch):
+    # At D = 10,000 and 32 components a chunk holds a few dozen rows, so
+    # 80 rows span several with the package's own chunk size.
+    glue, queries = glue_crew()
+    for available in (None, ["m3", "m0"]):
+        names, labels, sims = batched(
+            monkeypatch, lambda: glue.member_similarities(queries, available))
+        ref = reference(monkeypatch, lambda: glue.member_similarities(queries, available))
+        assert (names, labels) == ref[:2]
+        np.testing.assert_array_equal(sims, ref[2])
+        picks, _, _ = batched(monkeypatch, lambda: glue.predict_batch(queries, available))
+        ref_picks, _, _ = reference(monkeypatch, lambda: glue.predict_batch(queries, available))
+        np.testing.assert_array_equal(picks, ref_picks)
+    # and straight from the definition for one member and one row
+    names, labels, sims = glue.member_similarities(queries)
+    member = glue.member("m3")
+    view = member.encoder.encode(queries["m3"][5]) ^ glue.glue_vector ^ member.model_id
+    assert sims[names.index("m3"), 5].tolist() == [
+        similarity(view, glue.registry.id_for(c)) for c in labels]
+
+
+def test_fused_calls_name_the_bad_row():
+    glue, queries = glue_crew(dim=512)
+    bad = dict(queries, m1=with_nan(queries["m1"], 33))
+    for call in (glue.member_similarities, glue.predict_batch):
+        with pytest.raises(InvalidValueError, match="row 33, component 1"):
+            call(bad)
+        with pytest.raises(DimensionMismatchError):
+            call(dict(queries, m3=queries["m3"][:, :31]))
+
+
+# -- ErrorFleet --------------------------------------------------------------
+
+FLEET_CFG = EncoderConfig(length=9, dim=1000, num_levels=17, seed=4)
+
+
+def train_fleet(residual_memory):
+    rows, labels = labelled_rows(FLEET_CFG, 150, n_classes=4, seed=5)
+    return fleet_correct(rows, labels, FLEET_CFG, ClassRegistry(4, FLEET_CFG.dim),
+                         max_rounds=4, residual_memory=residual_memory)
+
+
+@pytest.mark.parametrize("residual_memory", [False, True])
+def test_fleet_matches_per_row_reference(monkeypatch, small_chunks, residual_memory):
+    fleet = batched(monkeypatch, lambda: train_fleet(residual_memory))
+    ref = reference(monkeypatch, lambda: train_fleet(residual_memory))
+    assert [r.hil.state_digest() for r in fleet.rounds] == [
+        r.hil.state_digest() for r in ref.rounds]
+    assert fleet.round_weights() == ref.round_weights()
+    assert fleet.memory == ref.memory
+    assert bool(fleet.memory) == residual_memory
+
+    queries, _ = labelled_rows(FLEET_CFG, 150, n_classes=4, seed=5)  # memory rows among them
+    queries = np.vstack([queries, labelled_rows(FLEET_CFG, 40, n_classes=4, seed=6)[0]])
+    picks, provenance = batched(monkeypatch, lambda: fleet.predict_batch(queries))
+    ref_picks, ref_provenance = reference(monkeypatch, lambda: fleet.predict_batch(queries))
+    np.testing.assert_array_equal(picks, ref_picks)
+    assert provenance == ref_provenance
+    assert ("memory" in provenance) == residual_memory
+
+
+def test_fleet_calls_name_the_bad_row():
+    rows, labels = labelled_rows(FLEET_CFG, 30, n_classes=4, seed=5)
+    registry = ClassRegistry(4, FLEET_CFG.dim)
+    with pytest.raises(InvalidValueError, match="row 12, component 1"):
+        fleet_correct(with_nan(rows, 12), labels, FLEET_CFG, registry)
+    with pytest.raises(DimensionMismatchError):
+        fleet_correct(rows[:, :8], labels, FLEET_CFG, registry)
+    fleet = fleet_correct(rows, labels, FLEET_CFG, registry, max_rounds=2)
+    with pytest.raises(InvalidValueError, match="row 3, component 1"):
+        fleet.predict_batch(with_nan(rows, 3))
+    with pytest.raises(DimensionMismatchError):
+        fleet.predict_batch(rows[:, :8])
+
+
+def test_fleet_rounds_share_one_encoder_in_training_and_after_loading():
+    fleet = train_fleet(residual_memory=True)
+    assert len(fleet.rounds) > 1
+    assert all(r.hil.encoder is fleet.rounds[0].hil.encoder for r in fleet.rounds)
+    data = model_to_bytes(fleet)
+    loaded = model_from_bytes(data)
+    assert all(r.hil.encoder is loaded.rounds[0].hil.encoder for r in loaded.rounds)
+    assert model_to_bytes(loaded) == data

@@ -225,6 +225,19 @@ def test_finalize_matches_brute_force(pairs):
     assert acc.finalize() == brute_majority(terms, random_hv(TB, DIM))
 
 
+@pytest.mark.parametrize("dim", [64, 65, 100, 130, 1000])
+def test_finalize_matches_brute_force_at_any_width(dim):
+    # two equal weights leave about half the tallies exactly at zero
+    terms = [(vec(0, dim), 2), (vec(1, dim), 2)]
+    tiebreak = SeedContext(6, "tiebreak")
+    acc = ConsensusAccumulator(dim, tiebreak)
+    for v, w in terms:
+        acc.add(v, w)
+    out = acc.finalize()
+    assert out == brute_majority(terms, random_hv(tiebreak, dim))
+    assert not out.words.flags.writeable
+
+
 @given(st.integers(1, 1000))
 def test_weight_scaling_leaves_finalize_unchanged(k):
     terms = [(vec(i), w) for i, w in [(0, 3), (1, 5), (2, 5), (3, 2)]]

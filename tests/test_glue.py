@@ -16,7 +16,13 @@ from hdglue import (
     UntrainedModelError,
     random_hv,
 )
-from hdglue.data_io import SyntheticNetworkSpec, specialist_specs, two_cluster_spec
+from hdglue.data_io import (
+    SyntheticNetworkSpec,
+    model_from_bytes,
+    model_to_bytes,
+    specialist_specs,
+    two_cluster_spec,
+)
 
 DIM10K = 10_000
 
@@ -263,6 +269,40 @@ def test_update_member_guards():
     name = glue.compress(["m0", "m2"], 1.0)
     with pytest.raises(InvalidValueError):
         glue.update_member(name, rows, [0, 0, 0])
+
+
+def test_cached_glue_vector_follows_every_change_of_the_tally():
+    dim = 512
+    specs = specialist_specs(0, n_models=4, n_classes=8)
+    registry = ClassRegistry(0, dim)
+    members = [train_member(s, registry, dim, n_train=10) for s in specs]
+    glue = GlueModel(registry, seed=3)
+
+    def fresh():
+        # read twice: the second read is served from the cache
+        assert glue.glue_vector is glue.glue_vector
+        assert glue.glue_vector == glue._fusion.finalize()
+
+    for i, model in enumerate(members):
+        glue.add_model(model, weight=1.0 + i / 4, name=f"m{i}")
+        fresh()
+    untrained = HILModel(EncoderConfig(length=specs[0].length, dim=dim, seed=9), registry)
+    glue.add_model(untrained, name="blank")
+    fresh()
+    glue.remove_model("m1")
+    fresh()
+    glue.add_model(members[1], weight=2.5, name="m1")
+    fresh()
+    glue.update_member("m0", specs[0].batch("train", 5, range(10, 20)), [5] * 10)
+    fresh()
+    glue.update_member("blank", specs[0].batch("train", 1, range(5)), [1] * 5)
+    fresh()
+    glue.compress(["m2", "m3"], 1.5, name="duo")
+    fresh()
+    data = model_to_bytes(glue)
+    loaded = model_from_bytes(data)
+    assert loaded.glue_vector == loaded._fusion.finalize() == glue.glue_vector
+    assert model_to_bytes(loaded) == data
 
 
 # -- prediction routing ------------------------------------------------------

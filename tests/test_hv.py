@@ -1,5 +1,7 @@
 """Packed hypervector values, seeded generation, XOR/permutation algebra."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -190,6 +192,38 @@ def test_random_pairs_near_half():
 
 
 # -- permutations ------------------------------------------------------------
+
+
+def _random_table_loop(ctx, n):
+    """The sequential Fisher-Yates that random_table must reproduce."""
+    stream = HashStream(ctx)
+    table = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = stream.below(i + 1)
+        table[i], table[j] = table[j], table[i]
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 5003])
+def test_random_table_matches_the_sequential_draws(n):
+    for seed in range(5):
+        ctx = SeedContext(seed, "level-order", n)
+        got = random_table(ctx, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _random_table_loop(ctx, n))
+
+
+@pytest.mark.parametrize("offset", [0, -1], ids=["rejected", "accepted"])
+def test_random_table_rejects_exactly_the_draws_the_stream_rejects(monkeypatch, offset):
+    from hdglue import hv
+
+    # The first draw (bound 7) sits at the smallest value below() rejects,
+    # or one under it; a rejected draw forces the sequential fallback.
+    first = 2**64 - 2**64 % 7 + offset
+    stream = struct.pack("<Q", first) + b"".join(struct.pack("<Q", 3 * k) for k in range(63))
+    monkeypatch.setattr(hv, "_hash_block", lambda prefix, block: stream[64 * block:][:64])
+    ctx = SeedContext(0, "crafted")
+    assert np.array_equal(random_table(ctx, 7), _random_table_loop(ctx, 7))
 
 
 def test_random_table_is_permutation():
