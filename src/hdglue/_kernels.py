@@ -1,12 +1,16 @@
-"""Hot inner loops over packed words: majority voting and Hamming counts.
+"""Hot inner loops over packed words: bit counts, majority voting and Hamming counts.
 
-Majority counts come from an unpacked per-bit tally; exact ties defer to
-the caller's tiebreak word.
+Per-bit counts come from one column sum over unpacked rows; majority ties
+defer to the caller's tiebreak word.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Chunked loops over rows size their temporaries to stay near this many
+# entries: unpacked bytes here, float32s in the encoder.
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _unpack_rows(words: np.ndarray, dim: int) -> np.ndarray:
@@ -20,10 +24,20 @@ def _pack_row(bits: np.ndarray, n_words: int) -> np.ndarray:
     return np.packbits(full, bitorder="little").view(np.uint64)
 
 
+def column_counts(words: np.ndarray, dim: int) -> np.ndarray:
+    """Set bits per position over the rows of packed words: (dim,) int64."""
+    out = np.zeros(dim, dtype=np.int64)
+    # A uint8 column sum is exact over at most 255 rows.
+    step = max(1, min(255, _CHUNK_ENTRIES // (words.shape[1] * 64)))
+    for lo in range(0, words.shape[0], step):
+        out += np.add.reduce(_unpack_rows(words[lo : lo + step], dim), axis=0, dtype=np.uint8)
+    return out
+
+
 def majority_words(term_words: np.ndarray, tiebreak_words: np.ndarray, dim: int) -> np.ndarray:
     """Majority bit per position over rows of packed words; ties take the tiebreak bit."""
     n_terms = term_words.shape[0]
-    counts = _unpack_rows(term_words, dim).sum(axis=0, dtype=np.int64)
+    counts = column_counts(term_words, dim)
     tb = _unpack_rows(tiebreak_words, dim)
     bits = ((2 * counts > n_terms) | ((2 * counts == n_terms) & (tb == 1))).astype(np.uint8)
     return _pack_row(bits, term_words.shape[1])

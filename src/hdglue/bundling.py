@@ -7,6 +7,11 @@ exact integer arithmetic: any order of adds, subtracts, and merges over
 the same multiset lands on identical counters, and removing a term
 restores the prior state bit for bit.
 
+A batch of n terms of equal weight w lands in one step. A bit set in k of
+the n rows moves its tally by w*k - w*(n - k) = w*(2k - n), which is the
+sum of the n single moves. Each k is an exact integer column sum over the
+packed rows, so the counters equal those of n adds, in any order.
+
 Finalizing takes the per-bit sign; exact zero tallies fall back to a
 seeded tiebreak vector so the result is still deterministic.
 """
@@ -95,6 +100,22 @@ class ConsensusAccumulator:
         self.counters += m * self._signs(v)
         self.total_weight += m
         self.term_count += 1
+
+    def add_words(self, words: np.ndarray, weight=1) -> None:
+        """Add each row of a packed (n, words) matrix as one term of ``weight``.
+
+        Same counters as n calls of :meth:`add`, from one column sum.
+        """
+        m = to_millionths(weight)
+        words = np.ascontiguousarray(words, dtype=np.uint64)
+        if words.ndim != 2 or words.shape[1] != num_words(self.dim):
+            raise DimensionMismatchError(
+                f"word matrix of shape {words.shape} vs accumulator dim {self.dim}"
+            )
+        n = words.shape[0]
+        self.counters += m * (2 * _kernels.column_counts(words, self.dim) - n)
+        self.total_weight += m * n
+        self.term_count += n
 
     def sub(self, v: Hypervector, weight=1) -> None:
         """Remove one previously added term; exact inverse of :meth:`add`."""

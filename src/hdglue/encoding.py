@@ -20,6 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# Encoding works on groups of flip slices and chunks of rows sized so the
+# widened operand, the gate and the counts each stay near _CHUNK_ENTRIES float32s.
+from ._kernels import _CHUNK_ENTRIES
 from .errors import (
     DimensionMismatchError,
     InvalidValueError,
@@ -52,9 +55,6 @@ MIN_LEVELS = 2
 MAX_LEVELS = 1025
 # Vote counts are summed in float32, which holds every integer up to 2**24.
 MAX_LENGTH = 1 << 24
-# Encoding works on groups of flip slices and chunks of rows sized so the
-# widened operand, the gate and the counts each stay near this many float32s.
-_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,14 @@ class GlueModel:
             if member.vector is None:
                 raise InvalidValueError(f"cannot fold untrained member {n!r}")
             picked.append(member)
-
+        weight = to_millionths(new_weight)
         index = self._next_index
+        if name is None:
+            name = f"fold{index}"
+        if name in self.members and name not in names:
+            raise InvalidValueError(f"member name {name!r} already taken")
+
+        # Every check has passed; nothing was changed before this point.
         self._next_index += 1
         fold_acc = ConsensusAccumulator(self.dim, SeedContext(self.seed, "tiebreak-fold", index))
         for member in picked:
@@ -227,10 +233,6 @@ class GlueModel:
         for member in picked:
             self._fusion_sub(member.model_id ^ member.vector, member.weight)
             del self.members[member.name]
-        if name is None:
-            name = f"fold{index}"
-        if name in self.members:
-            raise InvalidValueError(f"member name {name!r} already taken")
         composite = GlueMember(
             name=name,
             index=index,
@@ -238,7 +240,7 @@ class GlueModel:
             encoder=designated.encoder,
             hil=None,
             vector=folded,
-            weight=to_millionths(new_weight),
+            weight=weight,
             labels=set().union(*(m.labels for m in picked)),
             fold_acc=fold_acc,
         )

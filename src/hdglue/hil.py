@@ -145,10 +145,17 @@ class HILModel:
             raise InvalidValueError(f"{len(encoded)} vectors vs {len(labels)} labels")
         if not encoded:
             return
-        touched = set()
-        for q, lab in zip(encoded, labels):
-            lab = int(lab)
-            self.registry.id_for(lab)  # validates the label
+        # Validate every row and label before the first counter moves.
+        rows_of: dict[int, list[int]] = {}
+        for i, (q, lab) in enumerate(zip(encoded, labels)):
+            if q.dim != self.config.dim:
+                raise DimensionMismatchError(
+                    f"row {i}: dim {q.dim} vs model dim {self.config.dim}"
+                )
+            self.registry.id_for(lab)  # rejects non-integer and negative labels
+            rows_of.setdefault(int(lab), []).append(i)
+        words = np.stack([q.words for q in encoded])
+        for lab, idx in rows_of.items():
             acc = self.class_accumulators.get(lab)
             if acc is None:
                 acc = ConsensusAccumulator(
@@ -156,10 +163,9 @@ class HILModel:
                 )
                 self.class_accumulators[lab] = acc
                 self.example_counts[lab] = 0
-            acc.add(q, 1)
-            self.example_counts[lab] += 1
-            touched.add(lab)
-        for lab in sorted(touched):
+            acc.add_words(words[idx], 1)
+            self.example_counts[lab] += len(idx)
+        for lab in sorted(rows_of):
             bundle = self.class_accumulators[lab].finalize()
             self.class_bundles[lab] = bundle
             term = self.registry.id_for(lab) ^ bundle

@@ -1,10 +1,11 @@
-"""Multi-row calls encode in one batched pass, bit-identical to row by row.
+"""Multi-row calls encode and tally in one batched pass, bit-identical to row by row.
 
 Each caller is run twice on the same input: once as shipped, with the
 single-row ``SignalEncoder.encode`` switched off so any per-row fallback
 fails loudly, and once as a per-row reference, with ``encode_batch``
-replaced by a loop over ``encode``. Both runs must agree exactly: same
-state digests, same similarity matrices, same picks and provenance.
+replaced by a loop over ``encode`` and ``ConsensusAccumulator.add_words``
+by a loop over ``add``. Both runs must agree exactly: same state digests,
+same similarity matrices, same picks and provenance.
 """
 
 import numpy as np
@@ -12,12 +13,15 @@ import pytest
 
 from hdglue import (
     ClassRegistry,
+    ConsensusAccumulator,
     DimensionMismatchError,
     EncoderConfig,
     GlueModel,
     HILModel,
+    Hypervector,
     InvalidValueError,
     SignalEncoder,
+    _kernels,
     encoding,
     similarity,
 )
@@ -33,12 +37,19 @@ SHAPES = [
 
 @pytest.fixture()
 def small_chunks(monkeypatch):
-    """Chunks of about ten rows, so every batch below spans several."""
+    """Encode chunks of about ten rows and tally chunks of a few, so every
+    batch below spans several."""
     monkeypatch.setattr(encoding, "_CHUNK_ENTRIES", 1 << 11)
+    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 1 << 12)
 
 
 def _per_row(self, rows):
     return [self.encode(r) for r in np.asarray(rows, dtype=np.float64)]
+
+
+def _add_per_row(self, words, weight=1):
+    for row in words:
+        self.add(Hypervector.from_words(self.dim, row), weight)
 
 
 def _refuse(self, values):
@@ -46,9 +57,10 @@ def _refuse(self, values):
 
 
 def reference(monkeypatch, fn):
-    """``fn()`` with every batch encoded one row at a time through ``encode``."""
+    """``fn()`` with every batch encoded and tallied one row at a time."""
     with monkeypatch.context() as m:
         m.setattr(SignalEncoder, "encode_batch", _per_row)
+        m.setattr(ConsensusAccumulator, "add_words", _add_per_row)
         return fn()
 
 
@@ -122,6 +134,34 @@ def test_hil_multi_row_calls_name_the_bad_row():
     for call in (lambda r: model.update(r, labels), model.predict_batch):
         with pytest.raises(DimensionMismatchError):
             call(rows[:, :5])
+
+
+def test_refused_update_leaves_the_model_untouched():
+    cfg = EncoderConfig(length=6, dim=130, num_levels=9, seed=3)
+    model = HILModel(cfg, ClassRegistry(3, 130))
+    rows, labels = labelled_rows(cfg, 12)
+    model.update(rows[:6], labels[:6])
+    before = model.state_digest()
+    for bad_labels in (labels[:-1] + [-1], [0.7] * 12, labels[:-1] + ["2"]):
+        with pytest.raises(InvalidValueError):
+            model.update(rows, bad_labels)
+        assert model.state_digest() == before
+    encoded = model.encoder.encode_batch(rows)
+    # 192 bits pack into as many words as 130, so only the width check can catch it.
+    wide = SignalEncoder(EncoderConfig(length=6, dim=192, num_levels=9, seed=3))
+    with pytest.raises(DimensionMismatchError, match="row 11"):
+        model.update_encoded(encoded[:-1] + wide.encode_batch(rows[-1:]), labels)
+    assert model.state_digest() == before
+
+
+def test_refused_member_update_leaves_the_glue_untouched():
+    glue, _ = glue_crew(dim=512)
+    member = glue.member("m1")
+    rows, labels = labelled_rows(member.hil.config, 8, seed=7)
+    before = (glue.state_digest(), member.hil.state_digest(), glue.glue_vector)
+    with pytest.raises(InvalidValueError):
+        glue.update_member("m1", rows, labels[:-1] + [-3])
+    assert (glue.state_digest(), member.hil.state_digest(), glue.glue_vector) == before
 
 
 # -- GlueModel ---------------------------------------------------------------

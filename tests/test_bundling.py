@@ -16,7 +16,9 @@ from hdglue import (
     random_hv,
     similarity,
 )
+from hdglue import _kernels
 from hdglue.bundling import MILLION, majority, normalized_weights, to_millionths
+from hdglue.hv import num_words
 
 DIM = 256
 TB = SeedContext(5, "tiebreak")
@@ -123,6 +125,64 @@ def test_add_validates_before_mutating():
         acc.add(vec(1), 0)
     assert np.array_equal(acc.counters, before)
     assert acc.term_count == 1
+
+
+# -- batched adds ------------------------------------------------------------
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    """A few rows per bit-count chunk at dim 64, one at dim 1000."""
+    monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 1 << 8)
+
+
+def stacked(vs, dim):
+    return np.stack([v.words for v in vs]) if vs else np.empty((0, num_words(dim)), np.uint64)
+
+
+@pytest.mark.parametrize("dim", [64, 65, 130, 1000])
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 41])
+@pytest.mark.parametrize("weight", [1, 0.25, 1.5])
+def test_add_words_equals_a_loop_of_add(small_chunks, dim, n, weight):
+    # Two batches of the same rows; an even n leaves many tied bits.
+    vs = [vec(i, dim) for i in range(n)]
+    batched = ConsensusAccumulator(dim, TB)
+    looped = ConsensusAccumulator(dim, TB)
+    for _ in range(2):
+        batched.add_words(stacked(vs, dim), weight)
+        for v in vs:
+            looped.add(v, weight)
+        assert np.array_equal(batched.counters, looped.counters)
+        assert (batched.total_weight, batched.term_count) == (
+            looped.total_weight, looped.term_count)
+        assert batched.finalize() == looped.finalize()
+    if n % 2 == 0 and n:
+        assert not batched.counters.all()  # ties were exercised
+
+
+def test_add_words_counts_past_a_byte():
+    # 600 copies of one row: a per-chunk count past 255 would wrap.
+    v = vec(3, 64)
+    words = np.tile(v.words, (600, 1))
+    assert np.array_equal(_kernels.column_counts(words, 64), 600 * v.bits().astype(np.int64))
+    acc = ConsensusAccumulator(64, TB)
+    acc.add_words(words, 0.5)
+    one = ConsensusAccumulator(64, TB)
+    one.add(v, 300)
+    assert np.array_equal(acc.counters, one.counters)
+    assert acc.term_count == 600 and acc.total_weight == one.total_weight
+
+
+def test_add_words_validates_before_mutating():
+    acc = ConsensusAccumulator(130, TB)
+    acc.add(vec(0, 130), 1)
+    before = acc.state_bytes()
+    for bad in (stacked([vec(1, 200)], 200), vec(1, 130).words, np.empty((0, 2), np.uint64)):
+        with pytest.raises(DimensionMismatchError):
+            acc.add_words(bad, 1)
+    with pytest.raises(InvalidValueError):
+        acc.add_words(stacked([vec(1, 130)], 130), 0)
+    assert acc.state_bytes() == before
 
 
 # -- removal and underflow ---------------------------------------------------
@@ -260,6 +320,14 @@ def test_majority_kernel_matches_accumulator(n, seed):
     for v in vs:
         acc.add(v, MILLION)
     assert majority(vs, tb) == acc.finalize()
+
+
+@pytest.mark.parametrize("dim", [64, 65, 130, 1000])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_majority_matches_brute_force_across_chunks(small_chunks, dim, n):
+    vs = [vec(i, dim) for i in range(n)]
+    tiebreak = random_hv(TB, dim)
+    assert majority(vs, tiebreak) == brute_majority([(v, 1) for v in vs], tiebreak)
 
 
 def test_majority_of_identical_terms_is_the_term():

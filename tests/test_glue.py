@@ -490,6 +490,23 @@ def test_fold_bookkeeping_and_guards():
     assert composite.hil is None
 
 
+def test_refused_fold_leaves_the_glue_untouched():
+    dim = 512
+    specs = specialist_specs(0, n_models=3, n_classes=6)
+    registry = ClassRegistry(0, dim)
+    members = [train_member(s, registry, dim, n_train=10) for s in specs]
+    glue = GlueModel.build(members, seed=0)
+    before = (glue.state_digest(), glue.active_names())
+    for bad in ({"name": "m2"}, {"new_weight": 0}):
+        with pytest.raises(InvalidValueError):
+            glue.compress(["m0", "m1"], **{"new_weight": 1.0, **bad})
+        assert (glue.state_digest(), glue.active_names()) == before
+    # a folded member's own name is free for the composite
+    assert glue.compress(["m0", "m1"], 1.0, name="m0") == "m0"
+    assert glue.active_names() == ["m2", "m0"]
+    assert glue.member("m0").hil is None
+
+
 def test_folded_crew_queries_only_through_surviving_names():
     specs, _, members = crew(0, dim=1024)
     glue = GlueModel.build(members, seed=0)
