@@ -1,5 +1,8 @@
 """Hot inner loops over packed words: bit counts, majority voting and Hamming counts.
 
+This module owns the word layout: bit i of a row lives at
+``words[i // 64] >> (i % 64)``, and every bit past the row's width is zero.
+
 Per-bit counts come from one column sum over unpacked rows; majority ties
 defer to the caller's tiebreak word.
 """
@@ -13,15 +16,19 @@ import numpy as np
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _unpack_rows(words: np.ndarray, dim: int) -> np.ndarray:
+def unpack_bits(words: np.ndarray, dim: int) -> np.ndarray:
+    """uint8 bits of packed words along the last axis, trimmed to ``dim``."""
     flat = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
     return flat[..., :dim]
 
 
-def _pack_row(bits: np.ndarray, n_words: int) -> np.ndarray:
-    full = np.zeros(n_words * 64, dtype=np.uint8)
-    full[: bits.shape[0]] = bits
-    return np.packbits(full, bitorder="little").view(np.uint64)
+def pack_bits(bits: np.ndarray, n_words: int) -> np.ndarray:
+    """Packed uint64 words of 0/1 values along the last axis, zero-padded."""
+    if bits.shape[-1] != n_words * 64:
+        full = np.zeros(bits.shape[:-1] + (n_words * 64,), dtype=np.uint8)
+        full[..., : bits.shape[-1]] = bits
+        bits = full
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
 def column_counts(words: np.ndarray, dim: int) -> np.ndarray:
@@ -30,7 +37,7 @@ def column_counts(words: np.ndarray, dim: int) -> np.ndarray:
     # A uint8 column sum is exact over at most 255 rows.
     step = max(1, min(255, _CHUNK_ENTRIES // (words.shape[1] * 64)))
     for lo in range(0, words.shape[0], step):
-        out += np.add.reduce(_unpack_rows(words[lo : lo + step], dim), axis=0, dtype=np.uint8)
+        out += np.add.reduce(unpack_bits(words[lo : lo + step], dim), axis=0, dtype=np.uint8)
     return out
 
 
@@ -38,9 +45,9 @@ def majority_words(term_words: np.ndarray, tiebreak_words: np.ndarray, dim: int)
     """Majority bit per position over rows of packed words; ties take the tiebreak bit."""
     n_terms = term_words.shape[0]
     counts = column_counts(term_words, dim)
-    tb = _unpack_rows(tiebreak_words, dim)
+    tb = unpack_bits(tiebreak_words, dim)
     bits = ((2 * counts > n_terms) | ((2 * counts == n_terms) & (tb == 1))).astype(np.uint8)
-    return _pack_row(bits, term_words.shape[1])
+    return pack_bits(bits, term_words.shape[1])
 
 
 def hamming_matrix(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:

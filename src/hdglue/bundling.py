@@ -155,13 +155,9 @@ class ConsensusAccumulator:
 
     def finalize(self) -> Hypervector:
         """Majority vote per bit; zero tallies copy the tiebreak bit."""
-        n_bits = num_words(self.dim) * 64
-        pos = np.zeros(n_bits, dtype=bool)
-        tie = np.zeros(n_bits, dtype=bool)
-        np.greater(self.counters, 0, out=pos[: self.dim])
-        np.equal(self.counters, 0, out=tie[: self.dim])
-        pos_words = np.packbits(pos, bitorder="little").view(np.uint64)
-        tie_words = np.packbits(tie, bitorder="little").view(np.uint64)
+        n_words = num_words(self.dim)
+        pos_words = _kernels.pack_bits(self.counters > 0, n_words)
+        tie_words = _kernels.pack_bits(self.counters == 0, n_words)
         return Hypervector._wrap(self.dim, pos_words | (tie_words & self._tiebreak.words))
 
     def __eq__(self, other) -> bool:

@@ -421,7 +421,10 @@ def _unpack_container(data: bytes, path: str = "<bytes>"):
             raise DataFormatError(f"{path}: truncated blob name")
         (name_len,) = struct.unpack_from("<H", data, pos)
         pos += 2
-        name = data[pos : pos + name_len].decode("utf-8")
+        try:
+            name = data[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: bad blob name: {e}") from None
         pos += name_len
         if pos + 8 > len(data):
             raise DataFormatError(f"{path}: truncated blob header")
@@ -482,10 +485,8 @@ def _hil_restore(config: dict, blobs: dict, registry: ClassRegistry | None = Non
             enc_cfg.dim,
         )
         model.class_accumulators[lab] = acc
-        bundle = acc.finalize()
-        model.class_bundles[lab] = bundle
+        model.class_bundles[lab] = acc.finalize()
         model.example_counts[lab] = int(config["example_counts"][str(lab)])
-        model._fusion_terms[lab] = registry.id_for(lab) ^ bundle
     model._fusion = _restore_acc(
         blobs["fusion"], SeedContext(enc_cfg.seed, "tiebreak-fusion", 0), enc_cfg.dim
     )
@@ -595,7 +596,7 @@ def _fleet_state(fleet: ErrorFleet) -> tuple[dict, dict]:
         "memory_size": len(fleet.memory),
         "memory_threshold_millionths": round(fleet.memory_threshold * MILLION),
         "label_order": fleet.label_order,
-        "glue_seed": fleet.combined.seed,
+        "glue_seed": fleet.glue_seed,
     }
     return config, blobs
 
@@ -619,14 +620,8 @@ def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
         raw = blobs[f"memory/{j}"]
         (lab,) = struct.unpack_from("<q", raw, 0)
         memory.append((Hypervector.from_bytes(raw[8:]), int(lab)))
-    combined = GlueModel.build(
-        [r.hil for r in rounds],
-        weights=[r.weight / MILLION for r in rounds],
-        names=[f"round{i + 1}" for i in range(len(rounds))],
-        seed=int(config["glue_seed"]),
-    )
     return ErrorFleet(
-        rounds, combined, memory,
+        rounds, int(config["glue_seed"]), memory,
         int(config["memory_threshold_millionths"]) / MILLION,
         [int(c) for c in config["label_order"]],
     )

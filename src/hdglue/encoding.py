@@ -22,7 +22,7 @@ import numpy as np
 
 # Encoding works on groups of flip slices and chunks of rows sized so the
 # widened operand, the gate and the counts each stay near _CHUNK_ENTRIES float32s.
-from ._kernels import _CHUNK_ENTRIES
+from ._kernels import _CHUNK_ENTRIES, pack_bits, unpack_bits
 from .errors import (
     DimensionMismatchError,
     InvalidValueError,
@@ -31,7 +31,6 @@ from .errors import (
 from .hv import (
     DEFAULT_DIM,
     Hypervector,
-    Permutation,
     SeedContext,
     check_dim,
     num_words,
@@ -47,8 +46,6 @@ __all__ = [
     "LevelTable",
     "PositionBasis",
     "SignalEncoder",
-    "encode_sequence",
-    "encode_set",
 ]
 
 MIN_LEVELS = 2
@@ -135,9 +132,7 @@ class LevelTable:
             sl = diff[start : start + size]
             bits[sl] ^= 1
             start += size
-            full = np.zeros(n_w * 64, dtype=np.uint8)
-            full[:dim] = bits
-            self.words[i + 1] = np.packbits(full, bitorder="little").view(np.uint64)
+            self.words[i + 1] = pack_bits(bits, n_w)
         self.words.setflags(write=False)
         self.levels = [Hypervector(dim, self.words[i]) for i in range(num_levels)]
 
@@ -188,7 +183,7 @@ class PositionBasis:
 class SignalEncoder:
     """Deterministic map from a real vector to one hypervector.
 
-    All random material (levels, positions, permutation, tiebreak) is
+    All random material (levels, positions, tiebreak) is
     derived from ``config.seed`` under fixed namespaces, so two encoders
     with equal configs encode identically with nothing shared or stored.
     """
@@ -201,11 +196,6 @@ class SignalEncoder:
         )
         self.positions = PositionBasis(config.dim, config.length, SeedContext(seed, "position", 0))
         self.tiebreak = random_hv(SeedContext(seed, "tiebreak", 0), config.dim)
-
-    @functools.cached_property
-    def permutation(self) -> Permutation:
-        # Encoding never reads it, so it is only built on request.
-        return Permutation(SeedContext(self.config.seed, "permutation", 0), self.config.dim)
 
     @property
     def dim(self) -> int:
@@ -290,7 +280,7 @@ class _BoundMajority:
         step = max(1, _CHUNK_ENTRIES // dim)
         for lo in range(0, length, step):
             words = positions.words[lo : lo + step]
-            a = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :dim]
+            a = unpack_bits(words, dim)
             a ^= low
             c0 += a.sum(axis=0, dtype=np.int64)
             by_slice = self._by_slice(a[:, self.order]).transpose(1, 0, 2)
@@ -318,8 +308,8 @@ class _BoundMajority:
     def __call__(self, q: np.ndarray) -> np.ndarray:
         """(n, words) uint64 majority words for an (n, length) level matrix."""
         n, length = q.shape
-        out = np.empty((n, self.base_bits.shape[0] // 64), dtype=np.uint64)
-        out_bytes = out.view(np.uint8)
+        n_words = self.base_bits.shape[0] // 64
+        out = np.empty((n, n_words), dtype=np.uint64)
         n_groups = -(-self.n_slices * length * self.width // _CHUNK_ENTRIES)
         group = -(-self.n_slices // n_groups)
         step = max(1, _CHUNK_ENTRIES // (group * (length + self.width)))
@@ -342,30 +332,6 @@ class _BoundMajority:
             bits[:] = self.base_bits
             bits[:, self.order[:split]] = slots[:, : self.n_wide, : self.wide].reshape(rows, -1)
             bits[:, self.order[split:]] = slots[:, self.n_wide :, : self.wide - 1].reshape(rows, -1)
-            out_bytes[lo : lo + rows] = np.packbits(bits, axis=1, bitorder="little")
+            out[lo : lo + rows] = pack_bits(bits, n_words)
         return out
 
-
-def encode_set(items) -> Hypervector:
-    """Order-free XOR fold of a non-empty vector collection."""
-    items = list(items)
-    if not items:
-        raise InvalidValueError("cannot fold an empty set")
-    out = items[0]
-    for v in items[1:]:
-        out = out ^ v
-    return out
-
-
-def encode_sequence(items, permutation: Permutation) -> Hypervector:
-    """Order-sensitive fold: item k is buried under k applications of the
-    permutation, so prepending never disturbs existing items' images."""
-    items = list(items)
-    if not items:
-        raise InvalidValueError("cannot fold an empty sequence")
-    out = items[-1]
-    if out.dim != permutation.dim:
-        raise DimensionMismatchError(f"dim {out.dim} vs permutation dim {permutation.dim}")
-    for v in reversed(items[:-1]):
-        out = permutation.apply(out, 1) ^ v
-    return out

@@ -123,13 +123,14 @@ class GlueModel:
         A model with no trained classes takes its seat but contributes no
         term until its first update through :meth:`update_member`.
         """
+        weight = to_millionths(weight)  # a refused weight changes nothing
         if name is not None and name in self.members:
             member = self.members[name]
             if member.active:
                 raise InvalidValueError(f"member name {name!r} already active")
             if member.hil is not model:
                 raise InvalidValueError(f"member name {name!r} belongs to a different model")
-            member.weight = to_millionths(weight)
+            member.weight = weight
             if member.vector is not None:
                 self._fusion_add(member.model_id ^ member.vector, member.weight)
             member.active = True
@@ -151,7 +152,7 @@ class GlueModel:
             encoder=model.encoder,
             hil=model,
             vector=model.classification_vector,
-            weight=to_millionths(weight),
+            weight=weight,
             labels=model.labels(),
         )
         self.members[name] = member
@@ -388,11 +389,13 @@ class ErrorFleet:
     weight and its own confidence margin (plus a one-bit floor so a
     single-round fleet reduces exactly to its base model), then summed.
     The memory, when present, answers first for near-exact matches.
+    ``glue_seed`` is the seed given to :func:`fleet_correct`, kept for the
+    model file.
     """
 
-    def __init__(self, rounds, combined, memory, memory_threshold, label_order):
+    def __init__(self, rounds, glue_seed, memory, memory_threshold, label_order):
         self.rounds = rounds
-        self.combined = combined
+        self.glue_seed = glue_seed
         self.memory = memory  # list of (encoded query, label)
         self.memory_threshold = memory_threshold
         self.label_order = label_order
@@ -407,20 +410,6 @@ class ErrorFleet:
 
     def round_weights(self) -> list[float]:
         return [r.weight / MILLION for r in self.rounds]
-
-    def _consensus_scores(self, q_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        id_words = self.rounds[0].hil.registry.id_words(self.label_order)
-        dim = self._encoder.dim
-        scores = np.zeros((q_words.shape[0], len(self.label_order)))
-        contrib = np.zeros((len(self.rounds), q_words.shape[0]))
-        for ri, rnd in enumerate(self.rounds):
-            unbound = q_words ^ rnd.hil.classification_vector.words[None, :]
-            sims = 1.0 - _kernels.hamming_matrix(unbound, id_words) / dim
-            margin = _top_margin(sims)
-            weighted = (rnd.weight / MILLION) * (margin + 1.0 / dim)[:, None] * sims
-            scores += weighted
-            contrib[ri] = weighted[np.arange(sims.shape[0]), np.argmax(sims, axis=1)]
-        return scores, contrib
 
     def predict_batch(self, rows) -> tuple[np.ndarray, list[str]]:
         rows = np.asarray(rows, dtype=np.float64)
@@ -442,7 +431,8 @@ class ErrorFleet:
             from_memory = hit
         rest = np.flatnonzero(~from_memory)
         if rest.size:
-            scores, contrib = self._consensus_scores(q_words[rest])
+            id_words = self.rounds[0].hil.registry.id_words(self.label_order)
+            scores, contrib = _consensus_scores(self.rounds, q_words[rest], id_words)
             sub_picks = np.asarray(self.label_order)[np.argmax(scores, axis=1)]
             for k, i in enumerate(rest):
                 picks[i] = sub_picks[k]
@@ -459,6 +449,26 @@ class ErrorFleet:
             f"ErrorFleet(rounds={len(self.rounds)}, memory={len(self.memory)}, "
             f"train_acc={self.training_accuracy:.3f})"
         )
+
+
+def _round_sims(hil: HILModel, q_words: np.ndarray, id_words: np.ndarray) -> np.ndarray:
+    """Similarity of queries unbound from a round's vector to each class ID: (n, C)."""
+    unbound = q_words ^ hil.classification_vector.words[None, :]
+    return 1.0 - _kernels.hamming_matrix(unbound, id_words) / hil.config.dim
+
+
+def _consensus_scores(rounds, q_words: np.ndarray, id_words: np.ndarray):
+    """Margin-weighted round scores summed (n, C), and each round's weighted
+    score for its own pick (rounds, n)."""
+    scores = np.zeros((q_words.shape[0], id_words.shape[0]))
+    contrib = np.zeros((len(rounds), q_words.shape[0]))
+    for ri, rnd in enumerate(rounds):
+        sims = _round_sims(rnd.hil, q_words, id_words)
+        dim = rnd.hil.config.dim
+        weighted = (rnd.weight / MILLION) * (_top_margin(sims) + 1.0 / dim)[:, None] * sims
+        scores += weighted
+        contrib[ri] = weighted[np.arange(sims.shape[0]), np.argmax(sims, axis=1)]
+    return scores, contrib
 
 
 def _top_margin(sims: np.ndarray) -> np.ndarray:
@@ -495,6 +505,8 @@ def fleet_correct(
         raise InvalidValueError("max_rounds must be at least 1")
     if not 0.0 < memory_threshold <= 1.0:
         raise InvalidValueError("memory_threshold must lie in (0, 1]")
+    for lab in labels:
+        registry.id_for(lab)  # rejects non-integer and negative labels
     y = np.asarray([int(l) for l in labels], dtype=np.int64)
     n_total = rows.shape[0]
     label_order = sorted(set(y.tolist()))
@@ -503,20 +515,6 @@ def fleet_correct(
     encoded = shared.encoder.encode_batch(rows)
     q_words = np.stack([e.words for e in encoded])
     id_words = registry.id_words(label_order)
-    dim = config.dim
-
-    def round_sims(hil: HILModel, idx: np.ndarray) -> np.ndarray:
-        unbound = q_words[idx] ^ hil.classification_vector.words[None, :]
-        return 1.0 - _kernels.hamming_matrix(unbound, id_words) / dim
-
-    def fleet_predictions(rounds: list[FleetRound]) -> np.ndarray:
-        all_idx = np.arange(n_total)
-        scores = np.zeros((n_total, len(label_order)))
-        for rnd in rounds:
-            sims = round_sims(rnd.hil, all_idx)
-            margin = _top_margin(sims)
-            scores += (rnd.weight / MILLION) * (margin + 1.0 / dim)[:, None] * sims
-        return np.asarray(label_order)[np.argmax(scores, axis=1)]
 
     rounds: list[FleetRound] = []
     wrong = np.arange(n_total)
@@ -525,14 +523,15 @@ def fleet_correct(
         subset = wrong
         hil = shared if not rounds else HILModel(config, registry, _encoder=shared.encoder)
         hil.update_encoded([encoded[i] for i in subset], y[subset].tolist())
-        sims = round_sims(hil, subset)
+        sims = _round_sims(hil, q_words[subset], id_words)
         own_picks = np.asarray(label_order)[np.argmax(sims, axis=1)]
         correct = int((own_picks == y[subset]).sum())
         weight = round_weight(subset.size / n_total, correct / subset.size)
         if weight <= 0:
             break  # the round learned nothing worth a vote
         candidate = FleetRound(hil, weight, int(subset.size), correct, 0.0)
-        preds = fleet_predictions(rounds + [candidate])
+        scores, _ = _consensus_scores(rounds + [candidate], q_words, id_words)
+        preds = np.asarray(label_order)[np.argmax(scores, axis=1)]
         acc = float((preds == y).mean())
         if rounds and acc <= fleet_acc:
             break  # discard: the round fails to improve training accuracy
@@ -552,10 +551,4 @@ def fleet_correct(
     if residual_memory and wrong.size:
         memory = [(encoded[i], int(y[i])) for i in wrong]
 
-    combined = GlueModel.build(
-        [r.hil for r in rounds],
-        weights=[r.weight / MILLION for r in rounds],
-        names=[f"round{i + 1}" for i in range(len(rounds))],
-        seed=glue_seed,
-    )
-    return ErrorFleet(rounds, combined, memory, memory_threshold, label_order)
+    return ErrorFleet(rounds, glue_seed, memory, memory_threshold, label_order)

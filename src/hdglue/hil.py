@@ -113,7 +113,6 @@ class HILModel:
         self._fusion = ConsensusAccumulator(
             config.dim, SeedContext(config.seed, "tiebreak-fusion", 0)
         )
-        self._fusion_terms: dict[int, Hypervector] = {}
         self.classification_vector: Hypervector | None = None
 
     # -- training --------------------------------------------------------
@@ -165,15 +164,15 @@ class HILModel:
                 self.example_counts[lab] = 0
             acc.add_words(words[idx], 1)
             self.example_counts[lab] += len(idx)
+        # A class's fusion term is its ID bound to its bundle.
         for lab in sorted(rows_of):
+            class_id = self.registry.id_for(lab)
+            old = self.class_bundles.get(lab)
+            if old is not None:
+                self._fusion.sub(class_id ^ old, 1)
             bundle = self.class_accumulators[lab].finalize()
             self.class_bundles[lab] = bundle
-            term = self.registry.id_for(lab) ^ bundle
-            old = self._fusion_terms.get(lab)
-            if old is not None:
-                self._fusion.sub(old, 1)
-            self._fusion.add(term, 1)
-            self._fusion_terms[lab] = term
+            self._fusion.add(class_id ^ bundle, 1)
         self.classification_vector = self._fusion.finalize()
 
     # -- prediction ------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import pack_bits, unpack_bits
 from .errors import (
     DataFormatError,
     DimensionMismatchError,
@@ -85,10 +86,6 @@ class SeedContext:
 
     def child(self, index: int) -> "SeedContext":
         return SeedContext(self.master_seed, self.namespace, index)
-
-    def derived(self, suffix: str) -> "SeedContext":
-        """Same seed, namespace extended by a fixed suffix."""
-        return SeedContext(self.master_seed, self.namespace + "/" + suffix, self.index)
 
 
 def _ctx_prefix(ctx: SeedContext) -> bytes:
@@ -181,10 +178,7 @@ class Hypervector:
         dim = check_dim(bits.shape[0])
         if not np.isin(bits, (0, 1)).all():
             raise InvalidValueError("bits must be 0 or 1")
-        full = np.zeros(num_words(dim) * 64, dtype=np.uint8)
-        full[:dim] = bits
-        words = np.packbits(full, bitorder="little").view(np.uint64)
-        return cls._wrap(dim, words)
+        return cls._wrap(dim, pack_bits(bits, num_words(dim)))
 
     @classmethod
     def from_words(cls, dim: int, words: np.ndarray) -> "Hypervector":
@@ -222,7 +216,7 @@ class Hypervector:
 
     def bits(self) -> np.ndarray:
         """Unpacked uint8 array of length ``dim`` (a copy)."""
-        return np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.dim]
+        return unpack_bits(self.words, self.dim)
 
     # -- serialization ---------------------------------------------------
 
@@ -362,7 +356,4 @@ class Permutation:
         if power == 0:
             return v
         bits = v.bits()[self._table(power)]
-        full = np.zeros(num_words(self.dim) * 64, dtype=np.uint8)
-        full[: self.dim] = bits
-        words = np.packbits(full, bitorder="little").view(np.uint64)
-        return Hypervector._wrap(self.dim, words)
+        return Hypervector._wrap(self.dim, pack_bits(bits, num_words(self.dim)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -234,40 +234,27 @@ class OnlineSession:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def state_digest(self) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        payload = {
-            "config": {
-                "dim": self.config.dim,
-                "num_levels": self.config.num_levels,
-                "seed": self.config.seed,
-                "test_per_class": self.config.test_per_class,
-            },
+    def _payload(self) -> dict:
+        """Session config and replay progress: the digest's JSON and the file's."""
+        return {
+            "config": asdict(self.config),
             "events": self.events_applied,
             "history": self.history,
             "intro_order": self.intro_order,
             "next_train_id": {str(k): v for k, v in sorted(self.next_train_id.items())},
         }
-        h.update(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+
+    def state_digest(self) -> str:
+        h = hashlib.blake2b(digest_size=16)
+        h.update(json.dumps(self._payload(), sort_keys=True, separators=(",", ":")).encode())
         h.update(self.glue.state_digest().encode())
         return h.hexdigest()
 
     def _session_state(self, glue_state_fn) -> tuple[dict, dict]:
         gcfg, gblobs = glue_state_fn(self.glue)
-        config = {
-            "config": {
-                "dim": self.config.dim,
-                "num_levels": self.config.num_levels,
-                "seed": self.config.seed,
-                "test_per_class": self.config.test_per_class,
-            },
-            "events": self.events_applied,
-            "history": self.history,
-            "intro_order": self.intro_order,
-            "next_train_id": {str(k): v for k, v in sorted(self.next_train_id.items())},
-            "specs": {name: spec.to_json_dict() for name, spec in sorted(self.specs.items())},
-            "glue": gcfg,
-        }
+        config = self._payload()
+        config["specs"] = {name: spec.to_json_dict() for name, spec in sorted(self.specs.items())}
+        config["glue"] = gcfg
         return config, {f"glue/{k}": v for k, v in gblobs.items()}
 
     @classmethod

@@ -299,6 +299,14 @@ def test_container_rejects_corruption():
         model_from_bytes(blob + b"junk")
 
 
+def test_container_rejects_undecodable_blob_name():
+    blob = model_to_bytes(trained_hil())
+    at = blob.index(b"fusion")
+    flipped = blob[:at] + bytes([blob[at] ^ 0x80]) + blob[at + 1 :]
+    with pytest.raises(DataFormatError):
+        model_from_bytes(flipped)
+
+
 def test_container_rejects_mismatched_dimension():
     blob = model_to_bytes(trained_hil())
     patched = blob.replace(b'"dim":1024', b'"dim":2048', 1)

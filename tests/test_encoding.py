@@ -1,4 +1,4 @@
-"""Level tables, quantization, and record/set/sequence encoders."""
+"""Level tables, quantization, and the signal encoder."""
 
 import math
 
@@ -14,13 +14,10 @@ from hdglue import (
     Hypervector,
     InvalidValueError,
     LevelTable,
-    Permutation,
     PositionBasis,
     SeedContext,
     SignalEncoder,
     TooManyLevelsError,
-    encode_sequence,
-    encode_set,
     hamming,
     random_hv,
     similarity,
@@ -299,60 +296,6 @@ def test_swapping_two_unequal_components_is_visible():
     swapped = values.copy()
     swapped[0], swapped[31] = swapped[31], swapped[0]
     assert similarity(enc.encode(values), enc.encode(swapped)) < 0.99
-
-
-# -- set and sequence encoders -----------------------------------------------
-
-
-def vs(n, dim=512):
-    return [random_hv(SeedContext(23, "seq", i), dim) for i in range(n)]
-
-
-def test_set_single_item_and_removal():
-    x, y = vs(2)
-    assert encode_set([x]) == x
-    assert encode_set([x, y]) ^ y == x
-
-
-@given(st.permutations(list(range(6))))
-def test_set_is_order_free(order):
-    items = vs(6)
-    assert encode_set([items[i] for i in order]) == encode_set(items)
-
-
-def test_set_rejects_empty_and_mismatch():
-    with pytest.raises(InvalidValueError):
-        encode_set([])
-    with pytest.raises(Exception):
-        encode_set([vs(1)[0], vs(1, dim=256)[0]])
-
-
-def test_sequence_single_item_is_identity():
-    x = vs(1)[0]
-    p = Permutation(SeedContext(0, "permutation"), 512)
-    assert encode_sequence([x], p) == x
-
-
-def test_sequence_matches_manual_expansion():
-    a, b, c, d = vs(4)
-    p = Permutation(SeedContext(0, "permutation"), 512)
-    manual = a ^ p.apply(b, 1) ^ p.apply(c, 2) ^ p.apply(d, 3)
-    assert encode_sequence([a, b, c, d], p) == manual
-
-
-def test_sequence_prepend_identity():
-    a, b, c = vs(3)
-    p = Permutation(SeedContext(0, "permutation"), 512)
-    old = encode_sequence([b, c], p)
-    assert encode_sequence([a, b, c], p) == a ^ p.apply(old, 1)
-
-
-def test_sequence_order_matters():
-    items = [random_hv(SeedContext(29, "seq", i), 10_000) for i in range(4)]
-    p = Permutation(SeedContext(29, "permutation"), 10_000)
-    abcd = encode_sequence(items, p)
-    abdc = encode_sequence([items[0], items[1], items[3], items[2]], p)
-    assert 0.45 <= similarity(abcd, abdc) <= 0.55
 
 
 # -- config validation -------------------------------------------------------

@@ -104,15 +104,6 @@ def test_round_subsets_shrink_and_weights_follow_the_product_rule():
         assert rnd.weight == expected
 
 
-def test_fleet_combined_glue_mirrors_round_weights():
-    fleet = hard_fleet(max_rounds=3)
-    names = [f"round{i + 1}" for i in range(len(fleet.rounds))]
-    assert fleet.combined.active_names() == names
-    assert fleet.combined.weights() == {
-        n: r.weight / MILLION for n, r in zip(names, fleet.rounds)
-    }
-
-
 # -- residual memory ---------------------------------------------------------
 
 
@@ -182,6 +173,14 @@ def test_fleet_training_input_validation():
         with pytest.raises(InvalidValueError):
             fleet_correct(train.values, train.labels.tolist(), cfg, registry,
                           memory_threshold=threshold)
+
+
+def test_fleet_training_refuses_float_and_negative_labels():
+    _, train, _, cfg, registry = hard_task()
+    rows = train.values[:20]
+    for labels in ([0.7, 1.2] * 10, [0, 1] * 9 + [1.0, 0], [0, 1] * 9 + [1, -1]):
+        with pytest.raises(InvalidValueError):
+            fleet_correct(rows, labels, cfg, registry, max_rounds=1)
 
 
 def test_predict_batch_requires_a_matrix():

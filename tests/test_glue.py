@@ -507,6 +507,31 @@ def test_refused_fold_leaves_the_glue_untouched():
     assert glue.member("m0").hil is None
 
 
+def test_refused_add_leaves_the_glue_byte_identical():
+    dim = 512
+    specs = specialist_specs(0, n_models=3, n_classes=6)
+    registry = ClassRegistry(0, dim)
+    members = [train_member(s, registry, dim, n_train=10) for s in specs]
+    glue = GlueModel(registry, seed=0)
+    clean = GlueModel(registry, seed=0)
+    for bad in (0, -1.0, float("nan"), True, "1"):
+        with pytest.raises(InvalidValueError):
+            glue.add_model(members[0], weight=bad)
+        assert model_to_bytes(glue) == model_to_bytes(clean)
+    for g in (glue, clean):
+        assert g.add_model(members[0]) == "m0"
+        g.add_model(members[1], weight=2.0, name="b")
+    with pytest.raises(InvalidValueError):
+        glue.add_model(members[2], weight=0, name="c")
+    glue.remove_model("b")
+    clean.remove_model("b")
+    with pytest.raises(InvalidValueError):
+        glue.add_model(members[1], weight=0, name="b")  # refused re-add
+    assert model_to_bytes(glue) == model_to_bytes(clean)
+    assert glue.add_model(members[2]) == clean.add_model(members[2]) == "m2"
+    assert model_to_bytes(glue) == model_to_bytes(clean)
+
+
 def test_folded_crew_queries_only_through_surviving_names():
     specs, _, members = crew(0, dim=1024)
     glue = GlueModel.build(members, seed=0)
