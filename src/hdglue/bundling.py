@@ -10,7 +10,8 @@ restores the prior state bit for bit.
 A batch of n terms of equal weight w lands in one step. A bit set in k of
 the n rows moves its tally by w*k - w*(n - k) = w*(2k - n), which is the
 sum of the n single moves. Each k is an exact integer column sum over the
-packed rows, so the counters equal those of n adds, in any order.
+packed rows, so the counters equal those of n adds, in any order. A
+single add or subtract is a batch of one.
 
 Finalizing takes the per-bit sign; exact zero tallies fall back to a
 seeded tiebreak vector so the result is still deterministic.
@@ -90,16 +91,22 @@ class ConsensusAccumulator:
 
     # -- mutation --------------------------------------------------------
 
-    def _signs(self, v: Hypervector) -> np.ndarray:
+    def _tally(self, words: np.ndarray, m: int, sign: int = 1) -> None:
+        """Move each counter by sign * m * (set - clear) over the rows of ``words``."""
+        n, step = words.shape[0], sign * m
+        # In place, with one temporary: a single add is a hot call.
+        self.counters += 2 * step * _kernels.column_counts(words, self.dim)
+        self.counters -= step * n
+        self.total_weight += step * n
+        self.term_count += sign * n
+
+    def _row(self, v: Hypervector) -> np.ndarray:
         if v.dim != self.dim:
             raise DimensionMismatchError(f"dim {v.dim} vs accumulator dim {self.dim}")
-        return 2 * v.bits().astype(np.int64) - 1
+        return v.words[None, :]
 
     def add(self, v: Hypervector, weight=1) -> None:
-        m = to_millionths(weight)
-        self.counters += m * self._signs(v)
-        self.total_weight += m
-        self.term_count += 1
+        self._tally(self._row(v), to_millionths(weight))
 
     def add_words(self, words: np.ndarray, weight=1) -> None:
         """Add each row of a packed (n, words) matrix as one term of ``weight``.
@@ -112,10 +119,7 @@ class ConsensusAccumulator:
             raise DimensionMismatchError(
                 f"word matrix of shape {words.shape} vs accumulator dim {self.dim}"
             )
-        n = words.shape[0]
-        self.counters += m * (2 * _kernels.column_counts(words, self.dim) - n)
-        self.total_weight += m * n
-        self.term_count += n
+        self._tally(words, m)
 
     def sub(self, v: Hypervector, weight=1) -> None:
         """Remove one previously added term; exact inverse of :meth:`add`."""
@@ -124,10 +128,7 @@ class ConsensusAccumulator:
             raise AccumulatorUnderflowError(
                 f"cannot remove weight {m} from total {self.total_weight}"
             )
-        signs = self._signs(v)  # validate before mutating anything
-        self.counters -= m * signs
-        self.total_weight -= m
-        self.term_count -= 1
+        self._tally(self._row(v), m, -1)
 
     def merge(self, other: "ConsensusAccumulator") -> "ConsensusAccumulator":
         """New accumulator holding both tallies."""
@@ -218,10 +219,8 @@ def majority(vectors, tiebreak: Hypervector) -> Hypervector:
     dim = vectors[0].dim
     if tiebreak.dim != dim:
         raise DimensionMismatchError(f"tiebreak dim {tiebreak.dim} vs {dim}")
-    words = np.empty((len(vectors), num_words(dim)), dtype=np.uint64)
-    for i, v in enumerate(vectors):
+    for v in vectors:
         if v.dim != dim:
             raise DimensionMismatchError(f"dim {v.dim} vs {dim}")
-        words[i] = v.words
-    out = _kernels.majority_words(words, tiebreak.words, dim)
+    out = _kernels.majority_words(np.stack([v.words for v in vectors]), tiebreak.words, dim)
     return Hypervector.from_words(dim, out)

@@ -248,7 +248,7 @@ def cmd_correct(args) -> int:
         "round_weights": fleet.round_weights(),
         "round_subsets": [r.subset_size for r in fleet.rounds],
         "training_accuracy": fleet.training_accuracy,
-        "memory_size": len(fleet.memory),
+        "memory_size": len(fleet.memory_labels),
     }
     if args.test:
         test = _load_dataset(args.test)

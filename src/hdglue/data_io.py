@@ -28,10 +28,10 @@ import numpy as np
 
 from .bundling import MILLION, ConsensusAccumulator
 from .encoding import EncoderConfig, SignalEncoder
-from .errors import DataFormatError, InvalidValueError
+from .errors import DataFormatError, HDGlueError, InvalidValueError
 from .glue import ErrorFleet, FleetRound, GlueMember, GlueModel
 from .hil import ClassRegistry, HILModel
-from .hv import Hypervector, SeedContext, random_hv
+from .hv import Hypervector, SeedContext, num_words, random_hv
 
 __all__ = [
     "EmbeddingDataset",
@@ -484,9 +484,10 @@ def _hil_restore(config: dict, blobs: dict, registry: ClassRegistry | None = Non
             blobs[f"acc/{lab}"], SeedContext(enc_cfg.seed, "tiebreak-class", lab),
             enc_cfg.dim,
         )
+        if int(config["example_counts"][str(lab)]) != acc.term_count:
+            raise DataFormatError(f"class {lab}: example count disagrees with its tally")
         model.class_accumulators[lab] = acc
         model.class_bundles[lab] = acc.finalize()
-        model.example_counts[lab] = int(config["example_counts"][str(lab)])
     model._fusion = _restore_acc(
         blobs["fusion"], SeedContext(enc_cfg.seed, "tiebreak-fusion", 0), enc_cfg.dim
     )
@@ -526,8 +527,8 @@ def _glue_state(glue: GlueModel) -> tuple[dict, dict]:
     return config, blobs
 
 
-def _member_blobs(blobs: dict, index: int) -> dict:
-    prefix = f"member/{index}/"
+def _sub_blobs(blobs: dict, prefix: str) -> dict:
+    """The blobs named under ``prefix``, with the prefix stripped."""
     return {k[len(prefix):]: v for k, v in blobs.items() if k.startswith(prefix)}
 
 
@@ -539,7 +540,7 @@ def _glue_restore(config: dict, blobs: dict, registry: ClassRegistry | None = No
     glue._next_index = int(config["next_index"])
     for entry in config["members"]:
         index = int(entry["index"])
-        sub = _member_blobs(blobs, index)
+        sub = _sub_blobs(blobs, f"member/{index}/")
         if entry["kind"] == "hil":
             hil = _hil_restore(entry["hil"], sub, registry)
             if hil.config.dim != dim:
@@ -589,11 +590,12 @@ def _fleet_state(fleet: ErrorFleet) -> tuple[dict, dict]:
         })
         for k, v in sub.items():
             blobs[f"round/{i}/{k}"] = v
-    for j, (q, lab) in enumerate(fleet.memory):
-        blobs[f"memory/{j}"] = struct.pack("<q", lab) + q.to_bytes()
+    dim = fleet.rounds[0].hil.config.dim
+    for j, (words, lab) in enumerate(zip(fleet.memory_words, fleet.memory_labels.tolist())):
+        blobs[f"memory/{j}"] = struct.pack("<q", lab) + Hypervector(dim, words).to_bytes()
     config = {
         "rounds": rounds,
-        "memory_size": len(fleet.memory),
+        "memory_size": len(fleet.memory_labels),
         "memory_threshold_millionths": round(fleet.memory_threshold * MILLION),
         "label_order": fleet.label_order,
         "glue_seed": fleet.glue_seed,
@@ -605,9 +607,7 @@ def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
     registry = encoder = None
     rounds = []
     for i, entry in enumerate(config["rounds"]):
-        prefix = f"round/{i}/"
-        sub = {k[len(prefix):]: v for k, v in blobs.items() if k.startswith(prefix)}
-        hil = _hil_restore(entry["hil"], sub, registry, encoder)
+        hil = _hil_restore(entry["hil"], _sub_blobs(blobs, f"round/{i}/"), registry, encoder)
         registry, encoder = hil.registry, hil.encoder
         rounds.append(FleetRound(
             hil, int(entry["weight"]), int(entry["subset_size"]), int(entry["correct"]),
@@ -615,47 +615,76 @@ def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
         ))
     if not rounds:
         raise DataFormatError("fleet file holds no rounds")
-    memory = []
-    for j in range(int(config["memory_size"])):
+    dim, size = encoder.dim, int(config["memory_size"])
+    words = np.empty((size, num_words(dim)), dtype=np.uint64)
+    labels = np.empty(size, dtype=np.int64)
+    for j in range(size):
         raw = blobs[f"memory/{j}"]
-        (lab,) = struct.unpack_from("<q", raw, 0)
-        memory.append((Hypervector.from_bytes(raw[8:]), int(lab)))
+        (labels[j],) = struct.unpack_from("<q", raw, 0)
+        q = Hypervector.from_bytes(raw[8:])
+        if q.dim != dim:
+            raise DataFormatError(f"memory row {j} has dim {q.dim}, expected {dim}")
+        words[j] = q.words
     return ErrorFleet(
-        rounds, int(config["glue_seed"]), memory,
+        rounds, int(config["glue_seed"]), words, labels,
         int(config["memory_threshold_millionths"]) / MILLION,
         [int(c) for c in config["label_order"]],
     )
 
 
+def _session_state(session) -> tuple[dict, dict]:
+    gcfg, gblobs = _glue_state(session.glue)
+    config = session._payload()
+    config["specs"] = {name: spec.to_json_dict() for name, spec in sorted(session.specs.items())}
+    config["glue"] = gcfg
+    return config, {f"glue/{k}": v for k, v in gblobs.items()}
+
+
+def _session_restore(config: dict, blobs: dict):
+    from .online import OnlineConfig, OnlineSession
+
+    c = config["config"]
+    session = OnlineSession(OnlineConfig(
+        dim=int(c["dim"]), num_levels=int(c["num_levels"]),
+        seed=int(c["seed"]), test_per_class=int(c["test_per_class"]),
+    ))
+    session.glue = _glue_restore(config["glue"], _sub_blobs(blobs, "glue/"))
+    session.registry = session.glue.registry
+    session.specs = {
+        name: SyntheticNetworkSpec.from_json_dict(d) for name, d in config["specs"].items()
+    }
+    session.intro_order = [int(x) for x in config["intro_order"]]
+    session.next_train_id = {int(k): int(v) for k, v in config["next_train_id"].items()}
+    session.history = config["history"]
+    session.events_applied = config["events"]
+    return session
+
+
+_RESTORE = {"hil": _hil_restore, "glue": _glue_restore, "fleet": _fleet_restore,
+            "session": _session_restore}
+
+
 def model_to_bytes(obj) -> bytes:
     from .online import OnlineSession
 
-    if isinstance(obj, HILModel):
-        config, blobs = _hil_state(obj)
-        return _pack_container("hil", config, blobs)
-    if isinstance(obj, GlueModel):
-        config, blobs = _glue_state(obj)
-        return _pack_container("glue", config, blobs)
-    if isinstance(obj, ErrorFleet):
-        config, blobs = _fleet_state(obj)
-        return _pack_container("fleet", config, blobs)
-    if isinstance(obj, OnlineSession):
-        config, blobs = obj._session_state(_glue_state)
-        return _pack_container("session", config, blobs)
+    for kind, cls, state in (("hil", HILModel, _hil_state), ("glue", GlueModel, _glue_state),
+                             ("fleet", ErrorFleet, _fleet_state),
+                             ("session", OnlineSession, _session_state)):
+        if isinstance(obj, cls):
+            return _pack_container(kind, *state(obj))
     raise InvalidValueError(f"cannot serialize {type(obj).__name__}")
 
 
 def model_from_bytes(data: bytes, path: str = "<bytes>"):
     kind, config, blobs = _unpack_container(data, path)
-    if kind == "hil":
-        return _hil_restore(config, blobs)
-    if kind == "glue":
-        return _glue_restore(config, blobs)
-    if kind == "fleet":
-        return _fleet_restore(config, blobs)
-    from .online import OnlineSession
-
-    return OnlineSession._session_restore(config, blobs, _glue_restore)
+    try:
+        return _RESTORE[kind](config, blobs)
+    except DataFormatError:
+        raise
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError,
+            struct.error, HDGlueError) as e:
+        # A missing field, a field of the wrong JSON type or a short blob.
+        raise DataFormatError(f"{path}: malformed {kind} file: {e!r}") from e
 
 
 def save_model(obj, path: str) -> None:

@@ -231,8 +231,8 @@ class SignalEncoder:
             raise InvalidValueError(f"non-finite value at component {bad}")
         return Hypervector(self.config.dim, self._encode_words(arr[None, :])[0])
 
-    def encode_batch(self, rows: np.ndarray) -> list[Hypervector]:
-        """``encode`` for every row; the rows' words share one read-only matrix."""
+    def encode_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Read-only (n, words) uint64 matrix whose row k is ``encode(rows[k]).words``."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
@@ -242,7 +242,7 @@ class SignalEncoder:
             raise InvalidValueError(
                 f"non-finite value at row {bad[0, 0]}, component {bad[0, 1]}"
             )
-        return [Hypervector(self.config.dim, w) for w in self._encode_words(rows)]
+        return self._encode_words(rows)
 
 
 class _BoundMajority:

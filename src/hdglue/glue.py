@@ -25,14 +25,14 @@ import numpy as np
 
 from . import _kernels
 from .bundling import MILLION, ConsensusAccumulator, to_millionths
-from .encoding import EncoderConfig, SignalEncoder
+from .encoding import EncoderConfig
 from .errors import (
     DimensionMismatchError,
     InvalidValueError,
     UnknownMemberError,
     UntrainedModelError,
 )
-from .hil import ClassRegistry, HILModel, _batch_words
+from .hil import ClassRegistry, HILModel
 from .hv import Hypervector, SeedContext, random_hv
 
 __all__ = ["ErrorFleet", "FleetRound", "GlueMember", "GlueModel", "fleet_correct", "round_weight"]
@@ -121,7 +121,9 @@ class GlueModel:
         """Add a model's term; re-adding a removed member restores it exactly.
 
         A model with no trained classes takes its seat but contributes no
-        term until its first update through :meth:`update_member`.
+        term until its first update through :meth:`update_member`. A
+        removed composite from :meth:`compress` has no model of its own:
+        ``add_model(None, name=...)`` is how it is re-added.
         """
         weight = to_millionths(weight)  # a refused weight changes nothing
         if name is not None and name in self.members:
@@ -135,6 +137,8 @@ class GlueModel:
                 self._fusion_add(member.model_id ^ member.vector, member.weight)
             member.active = True
             return name
+        if not isinstance(model, HILModel):
+            raise InvalidValueError(f"expected a HILModel, got {type(model).__name__}")
         if not self.registry.compatible_with(model.registry):
             raise InvalidValueError("model was trained against a different class registry")
         if model.config.dim != self.dim:
@@ -304,7 +308,7 @@ class GlueModel:
             elif rows.shape[0] != n_rows:
                 raise InvalidValueError("members disagree on query count")
             base = glue_words ^ member.model_id.words
-            q_words = _batch_words(member.encoder, rows)
+            q_words = member.encoder.encode_batch(rows)
             counts = _kernels.hamming_matrix(q_words ^ base[None, :], id_words)
             sims[mi] = 1.0 - counts / self.dim
         names = [m.name for m in picked]
@@ -388,21 +392,22 @@ class ErrorFleet:
     Scoring: each round's similarity profile is scaled by the round's
     weight and its own confidence margin (plus a one-bit floor so a
     single-round fleet reduces exactly to its base model), then summed.
-    The memory, when present, answers first for near-exact matches.
+    The memory, rows of ``memory_words`` (M, words) with their
+    ``memory_labels`` (M,), answers first for near-exact matches.
     ``glue_seed`` is the seed given to :func:`fleet_correct`, kept for the
     model file.
     """
 
-    def __init__(self, rounds, glue_seed, memory, memory_threshold, label_order):
+    def __init__(self, rounds, glue_seed, memory_words, memory_labels, memory_threshold,
+                 label_order):
         self.rounds = rounds
         self.glue_seed = glue_seed
-        self.memory = memory  # list of (encoded query, label)
+        self.memory_words = memory_words
+        self.memory_labels = memory_labels
+        memory_words.setflags(write=False)
         self.memory_threshold = memory_threshold
         self.label_order = label_order
         self._encoder = rounds[0].hil.encoder
-        self._memory_words = (
-            np.stack([q.words for q, _ in memory]) if memory else None
-        )
 
     @property
     def training_accuracy(self) -> float:
@@ -416,27 +421,23 @@ class ErrorFleet:
         if rows.ndim != 2:
             raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
         n = rows.shape[0]
-        q_words = _batch_words(self._encoder, rows)
+        q_words = self._encoder.encode_batch(rows)
         picks = np.empty(n, dtype=np.int64)
-        provenance = [""] * n
-        from_memory = np.zeros(n, dtype=bool)
-        if self._memory_words is not None:
-            counts = _kernels.hamming_matrix(q_words, self._memory_words)
+        provenance = ["memory"] * n
+        hit = np.zeros(n, dtype=bool)
+        if self.memory_labels.size:
+            counts = _kernels.hamming_matrix(q_words, self.memory_words)
             sims = 1.0 - counts / self._encoder.dim
             best = np.argmax(sims, axis=1)
             hit = sims[np.arange(n), best] >= self.memory_threshold
-            for i in np.flatnonzero(hit):
-                picks[i] = self.memory[int(best[i])][1]
-                provenance[i] = "memory"
-            from_memory = hit
-        rest = np.flatnonzero(~from_memory)
+            picks[hit] = self.memory_labels[best[hit]]
+        rest = np.flatnonzero(~hit)
         if rest.size:
             id_words = self.rounds[0].hil.registry.id_words(self.label_order)
             scores, contrib = _consensus_scores(self.rounds, q_words[rest], id_words)
-            sub_picks = np.asarray(self.label_order)[np.argmax(scores, axis=1)]
-            for k, i in enumerate(rest):
-                picks[i] = sub_picks[k]
-                provenance[i] = f"round{int(np.argmax(contrib[:, k])) + 1}"
+            picks[rest] = np.asarray(self.label_order)[np.argmax(scores, axis=1)]
+            for i, r in zip(rest.tolist(), np.argmax(contrib, axis=0).tolist()):
+                provenance[i] = f"round{r + 1}"
         return picks, provenance
 
     def predict(self, values) -> tuple[int, str]:
@@ -446,7 +447,7 @@ class ErrorFleet:
 
     def __repr__(self):
         return (
-            f"ErrorFleet(rounds={len(self.rounds)}, memory={len(self.memory)}, "
+            f"ErrorFleet(rounds={len(self.rounds)}, memory={len(self.memory_labels)}, "
             f"train_acc={self.training_accuracy:.3f})"
         )
 
@@ -495,6 +496,8 @@ def fleet_correct(
     fleet so far got wrong. A round that does not raise fleet training
     accuracy is dropped and training stops. With ``residual_memory`` the
     examples still wrong at the end are stored for exact recall.
+    ``glue_seed`` changes no round, weight or prediction: it is only kept
+    as the fleet's ``glue_seed`` and written to its model file.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -512,8 +515,7 @@ def fleet_correct(
     label_order = sorted(set(y.tolist()))
 
     shared = HILModel(config, registry)  # donor of the shared encoder
-    encoded = shared.encoder.encode_batch(rows)
-    q_words = np.stack([e.words for e in encoded])
+    q_words = shared.encoder.encode_batch(rows)
     id_words = registry.id_words(label_order)
 
     rounds: list[FleetRound] = []
@@ -522,7 +524,7 @@ def fleet_correct(
     while len(rounds) < max_rounds and wrong.size:
         subset = wrong
         hil = shared if not rounds else HILModel(config, registry, _encoder=shared.encoder)
-        hil.update_encoded([encoded[i] for i in subset], y[subset].tolist())
+        hil.update_encoded(q_words[subset], y[subset].tolist())
         sims = _round_sims(hil, q_words[subset], id_words)
         own_picks = np.asarray(label_order)[np.argmax(sims, axis=1)]
         correct = int((own_picks == y[subset]).sum())
@@ -547,8 +549,6 @@ def fleet_correct(
     if not rounds:
         raise UntrainedModelError("first corrective round earned zero weight")
 
-    memory = []
-    if residual_memory and wrong.size:
-        memory = [(encoded[i], int(y[i])) for i in wrong]
-
-    return ErrorFleet(rounds, glue_seed, memory, memory_threshold, label_order)
+    memory = wrong if residual_memory else wrong[:0]
+    return ErrorFleet(rounds, glue_seed, q_words[memory], y[memory], memory_threshold,
+                      label_order)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     InvalidValueError,
     UntrainedModelError,
 )
-from .hv import Hypervector, SeedContext, check_dim, num_words, random_hv
+from .hv import Hypervector, SeedContext, check_dim, num_words, random_hv, tail_mask
 
 __all__ = ["ClassRegistry", "HILModel", "probe"]
 
@@ -76,14 +77,6 @@ class ClassRegistry:
         return f"ClassRegistry(seed={self.seed}, dim={self.dim})"
 
 
-def _batch_words(encoder: SignalEncoder, rows) -> np.ndarray:
-    """(n, words) matrix of ``encoder.encode_batch(rows)``."""
-    encoded = encoder.encode_batch(rows)
-    if not encoded:
-        return np.empty((0, num_words(encoder.dim)), dtype=np.uint64)
-    return np.stack([q.words for q in encoded])
-
-
 def _argmax_smallest(labels: list[int], scores: np.ndarray) -> int:
     # labels arrive sorted ascending, so the first maximum is the smallest label.
     return labels[int(np.argmax(scores))]
@@ -109,7 +102,6 @@ class HILModel:
         self.encoder = SignalEncoder(config) if _encoder is None else _encoder
         self.class_accumulators: dict[int, ConsensusAccumulator] = {}
         self.class_bundles: dict[int, Hypervector] = {}
-        self.example_counts: dict[int, int] = {}
         self._fusion = ConsensusAccumulator(
             config.dim, SeedContext(config.seed, "tiebreak-fusion", 0)
         )
@@ -137,33 +129,33 @@ class HILModel:
             raise InvalidValueError(f"{rows.shape[0]} rows vs {len(labels)} labels")
         self.update_encoded(self.encoder.encode_batch(rows), labels)
 
-    def update_encoded(self, encoded, labels) -> None:
-        """Same as :meth:`update` but from already encoded queries."""
-        encoded = list(encoded)
-        if len(encoded) != len(labels):
-            raise InvalidValueError(f"{len(encoded)} vectors vs {len(labels)} labels")
-        if not encoded:
-            return
+    def update_encoded(self, words, labels) -> None:
+        """Same as :meth:`update` but from an (n, words) uint64 matrix of
+        encoded rows, as :meth:`SignalEncoder.encode_batch` returns."""
+        dim = self.config.dim
+        words = np.asarray(words)
+        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != num_words(dim):
+            raise DimensionMismatchError(
+                f"expected an (n, {num_words(dim)}) uint64 word matrix for dim {dim}, "
+                f"got {words.dtype} of shape {words.shape}"
+            )
+        if words.shape[0] != len(labels):
+            raise InvalidValueError(f"{words.shape[0]} rows vs {len(labels)} labels")
         # Validate every row and label before the first counter moves.
+        past_dim = np.flatnonzero(words[:, -1] & ~tail_mask(dim))
+        if past_dim.size:
+            raise DimensionMismatchError(f"row {past_dim[0]}: bits set past model dim {dim}")
         rows_of: dict[int, list[int]] = {}
-        for i, (q, lab) in enumerate(zip(encoded, labels)):
-            if q.dim != self.config.dim:
-                raise DimensionMismatchError(
-                    f"row {i}: dim {q.dim} vs model dim {self.config.dim}"
-                )
+        for i, lab in enumerate(labels):
             self.registry.id_for(lab)  # rejects non-integer and negative labels
             rows_of.setdefault(int(lab), []).append(i)
-        words = np.stack([q.words for q in encoded])
+        if not rows_of:
+            return
         for lab, idx in rows_of.items():
-            acc = self.class_accumulators.get(lab)
-            if acc is None:
-                acc = ConsensusAccumulator(
-                    self.config.dim, SeedContext(self.config.seed, "tiebreak-class", lab)
-                )
-                self.class_accumulators[lab] = acc
-                self.example_counts[lab] = 0
-            acc.add_words(words[idx], 1)
-            self.example_counts[lab] += len(idx)
+            if lab not in self.class_accumulators:
+                self.class_accumulators[lab] = ConsensusAccumulator(
+                    dim, SeedContext(self.config.seed, "tiebreak-class", lab))
+            self.class_accumulators[lab].add_words(words[idx], 1)
         # A class's fusion term is its ID bound to its bundle.
         for lab in sorted(rows_of):
             class_id = self.registry.id_for(lab)
@@ -179,6 +171,11 @@ class HILModel:
 
     def labels(self) -> list[int]:
         return sorted(self.class_accumulators)
+
+    @property
+    def example_counts(self) -> MappingProxyType:
+        """Examples trained per class: each class tally's term count."""
+        return MappingProxyType({k: a.term_count for k, a in self.class_accumulators.items()})
 
     def encode(self, values) -> Hypervector:
         return self.encoder.encode(values)
@@ -207,7 +204,7 @@ class HILModel:
 
     def predict_batch(self, rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """(predicted labels, similarity matrix (n, C), class label order)."""
-        labels, sims = self._score_words(_batch_words(self.encoder, rows))
+        labels, sims = self._score_words(self.encoder.encode_batch(rows))
         picks = np.asarray(labels, dtype=np.int64)[np.argmax(sims, axis=1)]
         return picks, sims, labels
 

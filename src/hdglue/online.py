@@ -250,33 +250,6 @@ class OnlineSession:
         h.update(self.glue.state_digest().encode())
         return h.hexdigest()
 
-    def _session_state(self, glue_state_fn) -> tuple[dict, dict]:
-        gcfg, gblobs = glue_state_fn(self.glue)
-        config = self._payload()
-        config["specs"] = {name: spec.to_json_dict() for name, spec in sorted(self.specs.items())}
-        config["glue"] = gcfg
-        return config, {f"glue/{k}": v for k, v in gblobs.items()}
-
-    @classmethod
-    def _session_restore(cls, config: dict, blobs: dict, glue_restore_fn) -> "OnlineSession":
-        c = config["config"]
-        session = cls(OnlineConfig(
-            dim=int(c["dim"]), num_levels=int(c["num_levels"]),
-            seed=int(c["seed"]), test_per_class=int(c["test_per_class"]),
-        ))
-        gblobs = {k[len("glue/"):]: v for k, v in blobs.items() if k.startswith("glue/")}
-        session.glue = glue_restore_fn(config["glue"], gblobs)
-        session.registry = session.glue.registry
-        session.specs = {
-            name: SyntheticNetworkSpec.from_json_dict(d)
-            for name, d in config["specs"].items()
-        }
-        session.intro_order = [int(x) for x in config["intro_order"]]
-        session.next_train_id = {int(k): int(v) for k, v in config["next_train_id"].items()}
-        session.history = config["history"]
-        session.events_applied = config["events"]
-        return session
-
 
 def session_run(schedule, config: OnlineConfig) -> OnlineSession:
     session = OnlineSession(config)

@@ -4,8 +4,9 @@ Each caller is run twice on the same input: once as shipped, with the
 single-row ``SignalEncoder.encode`` switched off so any per-row fallback
 fails loudly, and once as a per-row reference, with ``encode_batch``
 replaced by a loop over ``encode`` and ``ConsensusAccumulator.add_words``
-by a loop over ``add``. Both runs must agree exactly: same state digests,
-same similarity matrices, same picks and provenance.
+by a signed per-bit tally of each row, written out here. Both runs must
+agree exactly: same state digests, same similarity matrices, same picks
+and provenance.
 """
 
 import numpy as np
@@ -18,15 +19,16 @@ from hdglue import (
     EncoderConfig,
     GlueModel,
     HILModel,
-    Hypervector,
     InvalidValueError,
     SignalEncoder,
     _kernels,
     encoding,
     similarity,
 )
+from hdglue.bundling import to_millionths
 from hdglue.data_io import model_from_bytes, model_to_bytes
 from hdglue.glue import fleet_correct
+from hdglue.hv import num_words
 
 # Widths that are not a multiple of 64, two quantization depths.
 SHAPES = [
@@ -44,12 +46,19 @@ def small_chunks(monkeypatch):
 
 
 def _per_row(self, rows):
-    return [self.encode(r) for r in np.asarray(rows, dtype=np.float64)]
+    encoded = [self.encode(r).words for r in np.asarray(rows, dtype=np.float64)]
+    return np.stack(encoded) if encoded else np.empty((0, num_words(self.dim)), np.uint64)
 
 
 def _add_per_row(self, words, weight=1):
+    """+m where a row's bit is set and -m where it is clear, bit by bit."""
+    m = to_millionths(weight)
+    i = np.arange(self.dim)
     for row in words:
-        self.add(Hypervector.from_words(self.dim, row), weight)
+        bits = (row[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+        self.counters += m * (2 * bits.astype(np.int64) - 1)
+        self.total_weight += m
+        self.term_count += 1
 
 
 def _refuse(self, values):
@@ -147,10 +156,17 @@ def test_refused_update_leaves_the_model_untouched():
             model.update(rows, bad_labels)
         assert model.state_digest() == before
     encoded = model.encoder.encode_batch(rows)
-    # 192 bits pack into as many words as 130, so only the width check can catch it.
+    # 192 bits pack into as many words as 130, so only the check for bits
+    # past the model's width can catch it.
     wide = SignalEncoder(EncoderConfig(length=6, dim=192, num_levels=9, seed=3))
     with pytest.raises(DimensionMismatchError, match="row 11"):
-        model.update_encoded(encoded[:-1] + wide.encode_batch(rows[-1:]), labels)
+        model.update_encoded(np.vstack([encoded[:-1], wide.encode_batch(rows[-1:])]), labels)
+    vectors = [model.encode(r) for r in rows]
+    for bad in (vectors, encoded.astype(np.int64), encoded[:, :2], encoded[0]):
+        with pytest.raises(DimensionMismatchError):
+            model.update_encoded(bad, labels)
+    with pytest.raises(InvalidValueError):
+        model.update_encoded(encoded, labels[:-1])
     assert model.state_digest() == before
 
 
@@ -230,8 +246,9 @@ def test_fleet_matches_per_row_reference(monkeypatch, small_chunks, residual_mem
     assert [r.hil.state_digest() for r in fleet.rounds] == [
         r.hil.state_digest() for r in ref.rounds]
     assert fleet.round_weights() == ref.round_weights()
-    assert fleet.memory == ref.memory
-    assert bool(fleet.memory) == residual_memory
+    np.testing.assert_array_equal(fleet.memory_words, ref.memory_words)
+    np.testing.assert_array_equal(fleet.memory_labels, ref.memory_labels)
+    assert bool(fleet.memory_labels.size) == residual_memory
 
     queries, _ = labelled_rows(FLEET_CFG, 150, n_classes=4, seed=5)  # memory rows among them
     queries = np.vstack([queries, labelled_rows(FLEET_CFG, 40, n_classes=4, seed=6)[0]])

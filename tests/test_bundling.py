@@ -28,12 +28,20 @@ def vec(i: int, dim: int = DIM) -> Hypervector:
     return random_hv(SeedContext(5, "term", i), dim)
 
 
-def brute_majority(pairs, tiebreak: Hypervector) -> Hypervector:
-    """Per-bit signed tally straight from the definition."""
-    dim = tiebreak.dim
+def brute_tally(pairs, dim: int) -> np.ndarray:
+    """Per-bit signed tally straight from the definition: +w where bit i
+    (word i // 64, shift i % 64) is set, -w where it is clear."""
+    i = np.arange(dim)
     tally = np.zeros(dim, dtype=np.int64)
     for v, w in pairs:
-        tally += w * (2 * v.bits().astype(np.int64) - 1)
+        bits = (v.words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+        tally += w * (2 * bits.astype(np.int64) - 1)
+    return tally
+
+
+def brute_majority(pairs, tiebreak: Hypervector) -> Hypervector:
+    """Majority of the per-bit signed tally; zero tallies take the tiebreak."""
+    tally = brute_tally(pairs, tiebreak.dim)
     bits = np.where(tally > 0, 1, np.where(tally < 0, 0, tiebreak.bits()))
     return Hypervector.from_bits(bits.astype(np.uint8))
 
@@ -144,15 +152,18 @@ def stacked(vs, dim):
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 41])
 @pytest.mark.parametrize("weight", [1, 0.25, 1.5])
 def test_add_words_equals_a_loop_of_add(small_chunks, dim, n, weight):
-    # Two batches of the same rows; an even n leaves many tied bits.
+    # Two batches of the same rows; an even n leaves many tied bits. Both
+    # paths share one tally kernel, so each is held to the brute-force tally.
     vs = [vec(i, dim) for i in range(n)]
     batched = ConsensusAccumulator(dim, TB)
     looped = ConsensusAccumulator(dim, TB)
-    for _ in range(2):
+    for k in range(1, 3):
         batched.add_words(stacked(vs, dim), weight)
         for v in vs:
             looped.add(v, weight)
-        assert np.array_equal(batched.counters, looped.counters)
+        expect = brute_tally([(v, k * to_millionths(weight)) for v in vs], dim)
+        assert np.array_equal(batched.counters, expect)
+        assert np.array_equal(looped.counters, expect)
         assert (batched.total_weight, batched.term_count) == (
             looped.total_weight, looped.term_count)
         assert batched.finalize() == looped.finalize()

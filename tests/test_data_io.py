@@ -1,5 +1,9 @@
 """Datasets on disk, synthetic sources, and the model container format."""
 
+import functools
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from hdglue import (
     HILModel,
     InvalidValueError,
 )
+from hdglue import data_io
 from hdglue.data_io import (
     EmbeddingDataset,
     SyntheticNetworkSpec,
@@ -318,3 +323,61 @@ def test_container_rejects_mismatched_dimension():
 def test_save_model_refuses_unknown_objects(tmp_path):
     with pytest.raises(InvalidValueError):
         save_model({"not": "a model"}, str(tmp_path / "x.hdgm"))
+
+
+@functools.cache
+def _container(kind):
+    obj = {"hil": trained_hil, "fleet": trained_fleet, "session": trained_session}[kind]()
+    return data_io._unpack_container(model_to_bytes(obj))
+
+
+def _with_memory_size(config, blobs, size):
+    assert config["memory_size"] > 0
+    config["memory_size"] = size
+
+
+def _pop_fusion(config, blobs):
+    del blobs["fusion"]
+
+
+def _short_memory_row(config, blobs):
+    assert config["memory_size"] > 0
+    blobs["memory/0"] = b"abc"
+
+
+def _miscount(config, blobs):
+    counts = config["example_counts"]
+    first = sorted(counts)[0]
+    counts[first] += 1
+
+
+# Each edit once leaked the builtin error named with it; the last one
+# loaded without complaint. Now each raises DataFormatError, chained to
+# that builtin error.
+MALFORMED = [
+    pytest.param("hil", lambda c, b: c.pop("labels"), KeyError, id="hil-no-labels"),
+    pytest.param("hil", lambda c, b: c.pop("encoder"), KeyError, id="hil-no-encoder"),
+    pytest.param("hil", lambda c, b: c.pop("example_counts"), KeyError, id="hil-no-counts"),
+    pytest.param("hil", lambda c, b: c.pop("registry_seed"), KeyError, id="hil-no-registry"),
+    pytest.param("hil", lambda c, b: c.update(labels="ab"), ValueError, id="hil-text-labels"),
+    pytest.param("hil", _pop_fusion, KeyError, id="hil-no-fusion"),
+    pytest.param("hil", lambda c, b: c.update(registry_seed=float("inf")), OverflowError,
+                 id="hil-infinite-seed"),
+    pytest.param("fleet", lambda c, b: _with_memory_size(c, b, c["memory_size"] + 1), KeyError,
+                 id="fleet-memory-overcount"),
+    pytest.param("fleet", _short_memory_row, struct.error, id="fleet-short-memory-row"),
+    pytest.param("session", lambda c, b: c.update(next_train_id=[]), AttributeError,
+                 id="session-list-for-object"),
+    pytest.param("hil", _miscount, type(None), id="hil-counts-disagree-with-tally"),
+]
+
+
+@pytest.mark.parametrize("kind, edit, cause", MALFORMED)
+def test_malformed_file_raises_data_format_error(kind, edit, cause):
+    stored_kind, config, blobs = _container(kind)
+    config, blobs = json.loads(json.dumps(config)), dict(blobs)
+    edit(config, blobs)
+    data = data_io._pack_container(stored_kind, config, blobs)
+    with pytest.raises(DataFormatError) as raised:
+        model_from_bytes(data)
+    assert isinstance(raised.value.__cause__, cause)

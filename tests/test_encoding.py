@@ -23,6 +23,7 @@ from hdglue import (
     similarity,
 )
 from hdglue.encoding import MAX_LENGTH
+from hdglue.hv import num_words
 
 CTX = SeedContext(17, "level-endpoint")
 
@@ -156,9 +157,10 @@ def test_encode_batch_equals_loop():
     enc = make_encoder(length=5)
     rows = np.random.default_rng(0).normal(size=(8, 5))
     batch = enc.encode_batch(rows)
+    assert batch.shape == (8, num_words(enc.dim)) and batch.dtype == np.uint64
+    assert not batch.flags.writeable
     for k in range(8):
-        assert batch[k] == enc.encode(rows[k])
-        assert not batch[k].words.flags.writeable
+        assert np.array_equal(batch[k], enc.encode(rows[k]).words)
         assert not enc.encode(rows[k]).words.flags.writeable
 
 
@@ -168,7 +170,7 @@ def test_encode_batch_spanning_chunks_equals_loop():
     rows = np.random.default_rng(5).normal(size=(150, 256))
     batch = enc.encode_batch(rows)
     for k in range(150):
-        assert batch[k] == enc.encode(rows[k])
+        assert np.array_equal(batch[k], enc.encode(rows[k]).words)
 
 
 def reference_encode(enc: SignalEncoder, values) -> Hypervector:
@@ -208,11 +210,11 @@ def encoder_and_batch(draw):
 def test_encode_and_batch_match_reference_tally(case):
     enc, rows = case
     batch = enc.encode_batch(rows)
-    assert len(batch) == rows.shape[0]
+    assert batch.shape == (rows.shape[0], num_words(enc.dim))
     for k, row in enumerate(rows):
         expect = reference_encode(enc, row)
         assert enc.encode(row) == expect
-        assert batch[k] == expect
+        assert np.array_equal(batch[k], expect.words)
 
 
 def test_encode_batch_reports_row_and_component():

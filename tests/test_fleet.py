@@ -12,6 +12,7 @@ from hdglue import (
 from hdglue.bundling import MILLION
 from hdglue.data_io import default_spec, two_cluster_spec
 from hdglue.glue import fleet_correct, round_weight
+from hdglue.hv import num_words
 
 DIM = 4096
 
@@ -83,7 +84,7 @@ def test_perfectly_learnable_set_stops_after_one_full_weight_round():
                           ClassRegistry(0, DIM), max_rounds=8, residual_memory=True)
     assert len(fleet.rounds) == 1
     assert fleet.rounds[0].weight == MILLION
-    assert fleet.memory == []
+    assert fleet.memory_words.shape == (0, num_words(DIM)) and fleet.memory_labels.size == 0
     assert fleet.training_accuracy == 1.0
 
 
@@ -110,11 +111,11 @@ def test_round_subsets_shrink_and_weights_follow_the_product_rule():
 def test_residual_memory_reaches_full_training_recall():
     _, train, _, _, _ = hard_task()
     fleet = hard_fleet(max_rounds=8, residual_memory=True)
-    assert len(fleet.memory) > 0
+    assert len(fleet.memory_labels) > 0
     picks, provenance = fleet.predict_batch(train.values)
     assert float((picks == train.labels).mean()) == 1.0
     # memory answers exactly for its own rows and stays out of the rest
-    assert sum(p == "memory" for p in provenance) == len(fleet.memory)
+    assert sum(p == "memory" for p in provenance) == len(fleet.memory_labels)
 
 
 def test_memory_rows_return_gold_label_with_memory_provenance():
@@ -123,7 +124,11 @@ def test_memory_rows_return_gold_label_with_memory_provenance():
     fleet = hard_fleet(max_rounds=8, residual_memory=True)
     wrong_before, _ = bare.predict_batch(train.values)
     still_wrong = np.flatnonzero(wrong_before != train.labels)
-    assert len(still_wrong) == len(fleet.memory)
+    assert len(still_wrong) == len(fleet.memory_labels)
+    # each memory row is a still-wrong row's encoding, with its gold label
+    np.testing.assert_array_equal(
+        fleet.memory_words, fleet.rounds[0].hil.encoder.encode_batch(train.values[still_wrong]))
+    np.testing.assert_array_equal(fleet.memory_labels, train.labels[still_wrong])
     sample = train.values[still_wrong[:5]]
     expect = train.labels[still_wrong[:5]]
     for row, gold in zip(sample, expect):
@@ -142,7 +147,7 @@ def test_far_away_query_bypasses_memory():
 
 def test_without_memory_flag_nothing_is_stored():
     fleet = hard_fleet(max_rounds=8)
-    assert fleet.memory == []
+    assert fleet.memory_words.shape == (0, num_words(DIM)) and fleet.memory_labels.size == 0
     assert fleet.training_accuracy < 1.0
 
 

@@ -124,15 +124,25 @@ class MembershipMachine(RuleBasedStateMachine):
         if ok:
             seat.active = False
 
-    @rule(data=st.data(), weight=WEIGHTS, wrong_model=st.booleans())
-    def readd(self, data, weight, wrong_model):
+    @rule(thing=st.sampled_from([None, "x", 3]), name=st.sampled_from((None, "ghost") + NAMES))
+    def add_non_model(self, thing, name):
+        if name in self.seats:
+            return  # a seat's own name is the readd rule's business
+        ok, _ = self.attempt(self.glue.add_model, thing, name=name)
+        assert not ok
+
+    # "own" is the seat's model; a composite's is None.
+    @rule(data=st.data(), weight=WEIGHTS,
+          model=st.sampled_from(["own", "own", "own", STRANGER, None, "x", 3]))
+    def readd(self, data, weight, model):
         removed = [n for n, s in self.seats.items() if not s.active]
         if not removed:
             return
         seat = self.seats[data.draw(st.sampled_from(removed))]
-        model = STRANGER if wrong_model else seat.hil
+        if model == "own":
+            model = seat.hil
         ok, _ = self.attempt(self.glue.add_model, model, weight=weight, name=seat.name)
-        assert ok == (_valid_weight(weight) and not wrong_model)
+        assert ok == (_valid_weight(weight) and model is seat.hil)
         if ok:
             seat.active = True
             seat.weight = weight
