@@ -1,10 +1,13 @@
-"""Hot inner loops over packed words: bit counts, majority voting and Hamming counts.
+"""Hot inner loops over packed words, in four layers: bit counts, sign
+readout, unbind scoring and Hamming counts.
 
 This module owns the word layout: bit i of a row lives at
 ``words[i // 64] >> (i % 64)``, and every bit past the row's width is zero.
 
-Per-bit counts come from one column sum over unpacked rows; majority ties
-defer to the caller's tiebreak word.
+Per-bit counts come from one column sum over unpacked rows. The sign
+readout of a signed per-bit tally defers exact zeros to the caller's
+tiebreak word. Unbind scoring XORs a key out of each query and turns the
+Hamming counts to reference rows into similarities, ``1 - count / dim``.
 """
 
 from __future__ import annotations
@@ -41,13 +44,18 @@ def column_counts(words: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def majority_words(term_words: np.ndarray, tiebreak_words: np.ndarray, dim: int) -> np.ndarray:
-    """Majority bit per position over rows of packed words; ties take the tiebreak bit."""
-    n_terms = term_words.shape[0]
-    counts = column_counts(term_words, dim)
-    tb = unpack_bits(tiebreak_words, dim)
-    bits = ((2 * counts > n_terms) | ((2 * counts == n_terms) & (tb == 1))).astype(np.uint8)
-    return pack_bits(bits, term_words.shape[1])
+def sign_words(tally: np.ndarray, tiebreak_words: np.ndarray) -> np.ndarray:
+    """Packed sign of a signed per-bit tally: 1 where positive, the tiebreak bit where zero."""
+    n_words = tiebreak_words.shape[0]
+    return pack_bits(tally > 0, n_words) | (pack_bits(tally == 0, n_words) & tiebreak_words)
+
+
+def unbind_similarities(queries: np.ndarray, key: np.ndarray | None, refs: np.ndarray,
+                        dim: int) -> np.ndarray:
+    """Similarity of each query row, XORed with ``key`` unless it is None, to each
+    reference row: (n, m) floats ``1 - hamming / dim``."""
+    unbound = queries if key is None else queries ^ key[None, :]
+    return 1.0 - hamming_matrix(unbound, refs) / dim
 
 
 def hamming_matrix(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:

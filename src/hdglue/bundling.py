@@ -156,10 +156,7 @@ class ConsensusAccumulator:
 
     def finalize(self) -> Hypervector:
         """Majority vote per bit; zero tallies copy the tiebreak bit."""
-        n_words = num_words(self.dim)
-        pos_words = _kernels.pack_bits(self.counters > 0, n_words)
-        tie_words = _kernels.pack_bits(self.counters == 0, n_words)
-        return Hypervector._wrap(self.dim, pos_words | (tie_words & self._tiebreak.words))
+        return Hypervector._wrap(self.dim, _kernels.sign_words(self.counters, self._tiebreak.words))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConsensusAccumulator):
@@ -191,8 +188,20 @@ class ConsensusAccumulator:
     def from_state_bytes(cls, data: bytes, tiebreak_ctx: SeedContext) -> "ConsensusAccumulator":
         if len(data) < 20:
             raise DataFormatError("accumulator blob shorter than its header")
+        out = cls(struct.unpack_from("<I", data, 0)[0], tiebreak_ctx)
+        out.load_state_bytes(data)
+        return out
+
+    def load_state_bytes(self, data: bytes) -> None:
+        """Replace the tally, in place, with one written by :meth:`state_bytes`.
+
+        The dim must match; the tiebreak stays the accumulator's own.
+        """
+        if len(data) < 20:
+            raise DataFormatError("accumulator blob shorter than its header")
         dim, total_weight, term_count = struct.unpack_from("<IqQ", data, 0)
-        out = cls(dim, tiebreak_ctx)
+        if dim != self.dim:
+            raise DataFormatError(f"stored state has dim {dim}, expected {self.dim}")
         body = data[20:]
         if len(body) != dim * 8:
             raise DataFormatError(f"accumulator blob for dim {dim} has wrong payload size")
@@ -201,17 +210,16 @@ class ConsensusAccumulator:
         counters = np.frombuffer(body, dtype="<i8").astype(np.int64)
         if np.abs(counters).max(initial=0) > total_weight:
             raise DataFormatError("counter magnitude exceeds total weight")
-        out.counters = counters
-        out.total_weight = total_weight
-        out.term_count = term_count
-        return out
+        self.counters = counters
+        self.total_weight = total_weight
+        self.term_count = term_count
 
 
 def majority(vectors, tiebreak: Hypervector) -> Hypervector:
     """Equal-weight majority of a non-empty vector list, ties from ``tiebreak``.
 
-    Matches an accumulator fed the same list with weight 1, via a packed
-    bit-sliced count instead of per-term tallies.
+    Matches an accumulator fed the same list with weight 1: the same signed
+    per-bit tally, from one column count, read out by the same sign kernel.
     """
     vectors = list(vectors)
     if not vectors:
@@ -222,5 +230,5 @@ def majority(vectors, tiebreak: Hypervector) -> Hypervector:
     for v in vectors:
         if v.dim != dim:
             raise DimensionMismatchError(f"dim {v.dim} vs {dim}")
-    out = _kernels.majority_words(np.stack([v.words for v in vectors]), tiebreak.words, dim)
-    return Hypervector.from_words(dim, out)
+    tally = 2 * _kernels.column_counts(np.stack([v.words for v in vectors]), dim) - len(vectors)
+    return Hypervector._wrap(dim, _kernels.sign_words(tally, tiebreak.words))

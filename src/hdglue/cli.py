@@ -21,19 +21,19 @@ from . import __version__
 from .data_io import (
     EmbeddingDataset,
     SyntheticNetworkSpec,
+    _read_text,
     atomic_write_text,
     default_spec,
     load_dataset_binary,
     load_dataset_csv,
     load_model,
-    nearest_centroid_oracle,
     save_dataset_binary,
     save_dataset_csv,
     save_model,
     specialist_specs,
 )
 from .encoding import EncoderConfig
-from .errors import HDGlueError, InvalidValueError
+from .errors import DataFormatError, HDGlueError, InvalidValueError
 from .glue import ErrorFleet, GlueModel, fleet_correct
 from .hil import ClassRegistry, HILModel
 from .online import (
@@ -104,8 +104,11 @@ def _accuracy_report(picks: np.ndarray, labels: np.ndarray) -> dict:
 def cmd_gen_synth(args) -> int:
     t0 = time.perf_counter()
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as f:
-            spec = SyntheticNetworkSpec.from_json_dict(json.load(f))
+        try:
+            raw = json.loads(_read_text(args.spec))
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"{args.spec}: bad spec JSON: {e}") from None
+        spec = SyntheticNetworkSpec.from_json_dict(raw)
     else:
         spec = default_spec(seed=args.seed, n_classes=args.classes, length=args.length)
     os.makedirs(args.out, exist_ok=True)
@@ -262,8 +265,7 @@ def cmd_correct(args) -> int:
 def cmd_online_sim(args) -> int:
     t0 = time.perf_counter()
     if args.schedule:
-        with open(args.schedule, "r", encoding="utf-8") as f:
-            schedule = schedule_from_json(f.read())
+        schedule = schedule_from_json(_read_text(args.schedule))
     else:
         specs = specialist_specs(seed=args.seed, n_models=args.models,
                                  n_classes=args.models * args.classes_per_stage)

@@ -26,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundling import MILLION, ConsensusAccumulator
+from .bundling import MILLION
 from .encoding import EncoderConfig, SignalEncoder
 from .errors import DataFormatError, HDGlueError, InvalidValueError
-from .glue import ErrorFleet, FleetRound, GlueMember, GlueModel
+from .glue import ErrorFleet, FleetRound, GlueModel
 from .hil import ClassRegistry, HILModel
-from .hv import Hypervector, SeedContext, num_words, random_hv
+from .hv import Hypervector, SeedContext, num_words
+from .hv import random_hv  # not called here, but perfbench/spans.py patches it here
 
 __all__ = [
     "EmbeddingDataset",
@@ -124,30 +125,37 @@ def save_dataset_csv(ds: EmbeddingDataset, path: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text file's contents; any other bytes raise DataFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def load_dataset_csv(path: str) -> EmbeddingDataset:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        cols = header.split(",")
-        if cols[0] != "label" or any(c != f"e{i}" for i, c in enumerate(cols[1:])):
-            raise DataFormatError(f"{path}: bad CSV header {header[:80]!r}")
-        d = len(cols) - 1
-        if d < 1:
-            raise DataFormatError(f"{path}: header declares no value columns")
-        values, labels = [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                raise DataFormatError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
-            try:
-                labels.append(int(parts[0]))
-                values.append([float(p) for p in parts[1:]])
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: {e}") from None
-            if not all(np.isfinite(values[-1])):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
+    header, *lines = _read_text(path).split("\n")
+    cols = header.split(",")
+    if cols[0] != "label" or any(c != f"e{i}" for i, c in enumerate(cols[1:])):
+        raise DataFormatError(f"{path}: bad CSV header {header[:80]!r}")
+    d = len(cols) - 1
+    if d < 1:
+        raise DataFormatError(f"{path}: header declares no value columns")
+    values, labels = [], []
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            raise DataFormatError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+        try:
+            labels.append(int(parts[0]))
+            values.append([float(p) for p in parts[1:]])
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: {e}") from None
+        if not all(np.isfinite(values[-1])):
+            raise DataFormatError(f"{path}:{lineno}: non-finite value")
     arr = np.asarray(values, dtype=np.float32) if values else np.empty((0, d), dtype=np.float32)
     return EmbeddingDataset(arr, np.asarray(labels, dtype=np.int64), provenance=path)
 
@@ -273,7 +281,7 @@ class SyntheticNetworkSpec:
                 specialization=tuple((int(c), float(s)) for c, s in d["specialization"]),
                 seed=int(d["seed"]),
             )
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"bad source spec: {e}") from None
 
     def content_hash(self) -> str:
@@ -462,13 +470,6 @@ def _hil_state(model: HILModel) -> tuple[dict, dict]:
     return config, blobs
 
 
-def _restore_acc(blob: bytes, ctx: SeedContext, dim: int) -> ConsensusAccumulator:
-    acc = ConsensusAccumulator.from_state_bytes(blob, ctx)
-    if acc.dim != dim:
-        raise DataFormatError(f"stored state has dim {acc.dim}, expected {dim}")
-    return acc
-
-
 def _hil_restore(config: dict, blobs: dict, registry: ClassRegistry | None = None,
                  encoder: SignalEncoder | None = None) -> HILModel:
     """Rebuild a model; ``encoder`` is reused when its config matches."""
@@ -478,21 +479,12 @@ def _hil_restore(config: dict, blobs: dict, registry: ClassRegistry | None = Non
     if encoder is not None and encoder.config != enc_cfg:
         encoder = None
     model = HILModel(enc_cfg, registry, _encoder=encoder)
-    for lab in config["labels"]:
-        lab = int(lab)
-        acc = _restore_acc(
-            blobs[f"acc/{lab}"], SeedContext(enc_cfg.seed, "tiebreak-class", lab),
-            enc_cfg.dim,
-        )
-        if int(config["example_counts"][str(lab)]) != acc.term_count:
+    labels = [int(lab) for lab in config["labels"]]
+    model._restore({lab: blobs[f"acc/{lab}"] for lab in labels}, blobs["fusion"])
+    counts = model.example_counts
+    for lab in labels:
+        if int(config["example_counts"][str(lab)]) != counts[lab]:
             raise DataFormatError(f"class {lab}: example count disagrees with its tally")
-        model.class_accumulators[lab] = acc
-        model.class_bundles[lab] = acc.finalize()
-    model._fusion = _restore_acc(
-        blobs["fusion"], SeedContext(enc_cfg.seed, "tiebreak-fusion", 0), enc_cfg.dim
-    )
-    if config["labels"]:
-        model.classification_vector = model._fusion.finalize()
     return model
 
 
@@ -532,47 +524,21 @@ def _sub_blobs(blobs: dict, prefix: str) -> dict:
     return {k[len(prefix):]: v for k, v in blobs.items() if k.startswith(prefix)}
 
 
-def _glue_restore(config: dict, blobs: dict, registry: ClassRegistry | None = None) -> GlueModel:
-    dim = int(config["dim"])
-    if registry is None:
-        registry = ClassRegistry(int(config["registry_seed"]), dim)
+def _glue_restore(config: dict, blobs: dict) -> GlueModel:
+    registry = ClassRegistry(int(config["registry_seed"]), int(config["dim"]))
     glue = GlueModel(registry, seed=int(config["seed"]))
-    glue._next_index = int(config["next_index"])
     for entry in config["members"]:
         index = int(entry["index"])
         sub = _sub_blobs(blobs, f"member/{index}/")
         if entry["kind"] == "hil":
-            hil = _hil_restore(entry["hil"], sub, registry)
-            if hil.config.dim != dim:
-                raise DataFormatError(
-                    f"member {entry['name']!r} has dim {hil.config.dim}, expected {dim}")
-            encoder = hil.encoder
-            vector = hil.classification_vector
-            fold_acc = None
+            # A member of another dim fails the registry's dim check.
+            hil, encoder, fold_acc = _hil_restore(entry["hil"], sub, registry), None, None
         else:
-            hil = None
-            encoder = SignalEncoder(_encoder_config_from(entry["encoder"]))
-            fold_acc = _restore_acc(
-                sub["fold"], SeedContext(glue.seed, "tiebreak-fold", index), dim
-            )
-            vector = fold_acc.finalize()
-        member = GlueMember(
-            name=entry["name"],
-            index=index,
-            model_id=random_hv(SeedContext(glue.seed, "model", index), dim),
-            encoder=encoder,
-            hil=hil,
-            vector=vector,
-            weight=int(entry["weight"]),
-            labels=[int(c) for c in entry["labels"]],
-            fold_acc=fold_acc,
-        )
-        member.active = bool(entry["active"])
-        glue.members[entry["name"]] = member
-    glue._fusion = _restore_acc(
-        blobs["fusion"], SeedContext(glue.seed, "tiebreak-glue", 0), dim
-    )
-    glue._glue_vector = None
+            hil, encoder = None, SignalEncoder(_encoder_config_from(entry["encoder"]))
+            fold_acc = glue._fold_tally(index, sub["fold"])
+        glue._seat(entry["name"], index, int(entry["weight"]), [int(c) for c in entry["labels"]],
+                   hil, encoder, fold_acc, bool(entry["active"]))
+    glue._restore(int(config["next_index"]), blobs["fusion"])
     return glue
 
 
@@ -649,7 +615,6 @@ def _session_restore(config: dict, blobs: dict):
         seed=int(c["seed"]), test_per_class=int(c["test_per_class"]),
     ))
     session.glue = _glue_restore(config["glue"], _sub_blobs(blobs, "glue/"))
-    session.registry = session.glue.registry
     session.specs = {
         name: SyntheticNetworkSpec.from_json_dict(d) for name, d in config["specs"].items()
     }

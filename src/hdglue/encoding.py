@@ -102,7 +102,6 @@ class LevelTable:
             raise InvalidValueError(f"num_levels {num_levels} above cap {MAX_LEVELS}")
         self.dim = dim
         self.num_levels = num_levels
-        self.ctx = ctx
 
         low = random_hv(replace(ctx, index=0), dim)
         high = random_hv(replace(ctx, index=1), dim)
@@ -166,7 +165,6 @@ class PositionBasis:
             raise InvalidValueError("position basis needs at least one slot")
         self.dim = dim
         self.length = length
-        self.ctx = ctx
         self.words = np.empty((length, num_words(dim)), dtype=np.uint64)
         for i in range(length):
             self.words[i] = random_hv(replace(ctx, index=i), dim).words
@@ -201,21 +199,22 @@ class SignalEncoder:
     def dim(self) -> int:
         return self.config.dim
 
-    def quantize(self, x: float) -> int:
-        return self.levels.quantize(x)
-
     @functools.cached_property
     def _majority(self) -> _BoundMajority:
         return _BoundMajority(self.levels, self.positions, self.tiebreak)
 
-    def _check_width(self, n: int) -> None:
-        if n != self.config.length:
-            raise DimensionMismatchError(
-                f"encoder expects {self.config.length} components, got {n}"
-            )
-
     def _encode_words(self, rows: np.ndarray) -> np.ndarray:
-        """Read-only (n, words) majority words for checked float64 rows."""
+        """Read-only (n, words) majority words for a 2-d float64 batch,
+        once its width and every value are checked."""
+        if rows.shape[1] != self.config.length:
+            raise DimensionMismatchError(
+                f"encoder expects {self.config.length} components, got {rows.shape[1]}"
+            )
+        bad = np.argwhere(~np.isfinite(rows))
+        if bad.size:
+            raise InvalidValueError(
+                f"non-finite value at row {bad[0, 0]}, component {bad[0, 1]}"
+            )
         words = self._majority(_quantize_array(rows, self.config.num_levels))
         words.setflags(write=False)
         return words
@@ -225,10 +224,6 @@ class SignalEncoder:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise InvalidValueError(f"expected a flat value vector, got shape {arr.shape}")
-        self._check_width(arr.shape[0])
-        if not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise InvalidValueError(f"non-finite value at component {bad}")
         return Hypervector(self.config.dim, self._encode_words(arr[None, :])[0])
 
     def encode_batch(self, rows: np.ndarray) -> np.ndarray:
@@ -236,12 +231,6 @@ class SignalEncoder:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
-        self._check_width(rows.shape[1])
-        bad = np.argwhere(~np.isfinite(rows))
-        if bad.size:
-            raise InvalidValueError(
-                f"non-finite value at row {bad[0, 0]}, component {bad[0, 1]}"
-            )
         return self._encode_words(rows)
 
 

@@ -147,19 +147,8 @@ class GlueModel:
             name = f"m{self._next_index}"
         if name in self.members:
             raise InvalidValueError(f"member name {name!r} already taken")
-        index = self._next_index
+        member = self._seat(name, self._next_index, weight, model.labels(), hil=model)
         self._next_index += 1
-        member = GlueMember(
-            name=name,
-            index=index,
-            model_id=random_hv(SeedContext(self.seed, "model", index), self.dim),
-            encoder=model.encoder,
-            hil=model,
-            vector=model.classification_vector,
-            weight=weight,
-            labels=model.labels(),
-        )
-        self.members[name] = member
         if member.vector is not None:
             self._fusion_add(member.model_id ^ member.vector, member.weight)
         return name
@@ -221,7 +210,7 @@ class GlueModel:
 
         # Every check has passed; nothing was changed before this point.
         self._next_index += 1
-        fold_acc = ConsensusAccumulator(self.dim, SeedContext(self.seed, "tiebreak-fold", index))
+        fold_acc = self._fold_tally(index)
         for member in picked:
             if member.fold_acc is not None:
                 # A composite re-opens its stored tallies (original fold
@@ -231,27 +220,39 @@ class GlueModel:
                 fold_acc.term_count += member.fold_acc.term_count
             else:
                 fold_acc.add(member.vector, member.weight / MILLION)
-        folded = fold_acc.finalize()
         # Heaviest member keeps answering; earliest seat breaks weight ties.
         designated = min(picked, key=lambda m: (-m.weight, order[m.name]))
 
         for member in picked:
             self._fusion_sub(member.model_id ^ member.vector, member.weight)
             del self.members[member.name]
-        composite = GlueMember(
-            name=name,
-            index=index,
-            model_id=random_hv(SeedContext(self.seed, "model", index), self.dim),
-            encoder=designated.encoder,
-            hil=None,
-            vector=folded,
-            weight=weight,
-            labels=set().union(*(m.labels for m in picked)),
-            fold_acc=fold_acc,
-        )
-        self.members[name] = composite
-        self._fusion_add(composite.model_id ^ folded, composite.weight)
+        composite = self._seat(name, index, weight, set().union(*(m.labels for m in picked)),
+                               encoder=designated.encoder, fold_acc=fold_acc)
+        self._fusion_add(composite.model_id ^ composite.vector, composite.weight)
         return name
+
+    def _fold_tally(self, index: int, state: bytes | None = None) -> ConsensusAccumulator:
+        """Composite seat ``index``'s tally of folded votes, loaded from ``state`` if given."""
+        acc = ConsensusAccumulator(self.dim, SeedContext(self.seed, "tiebreak-fold", index))
+        if state is not None:
+            acc.load_state_bytes(state)
+        return acc
+
+    def _seat(self, name, index, weight, labels, hil=None, encoder=None, fold_acc=None,
+              active=True) -> GlueMember:
+        """Seat a member model, or a composite's ``fold_acc``, under its seeded
+        model ID; the caller adds its term to the fusion tally."""
+        vector = hil.classification_vector if fold_acc is None else fold_acc.finalize()
+        member = self.members[name] = GlueMember(
+            name, index, random_hv(SeedContext(self.seed, "model", index), self.dim),
+            hil.encoder if encoder is None else encoder, hil, vector, weight, labels, fold_acc)
+        member.active = active
+        return member
+
+    def _restore(self, next_index: int, fusion_state: bytes) -> None:
+        """Finish loading a stored glue whose seats are in place: the fusion tally."""
+        self._next_index = next_index
+        self._fusion.load_state_bytes(fusion_state)
 
     # -- prediction ------------------------------------------------------
 
@@ -307,10 +308,9 @@ class GlueModel:
                 sims = np.empty((len(picked), n_rows, len(labels)))
             elif rows.shape[0] != n_rows:
                 raise InvalidValueError("members disagree on query count")
-            base = glue_words ^ member.model_id.words
-            q_words = member.encoder.encode_batch(rows)
-            counts = _kernels.hamming_matrix(q_words ^ base[None, :], id_words)
-            sims[mi] = 1.0 - counts / self.dim
+            sims[mi] = _kernels.unbind_similarities(
+                member.encoder.encode_batch(rows), glue_words ^ member.model_id.words, id_words,
+                self.dim)
         names = [m.name for m in picked]
         return names, labels, sims
 
@@ -426,8 +426,8 @@ class ErrorFleet:
         provenance = ["memory"] * n
         hit = np.zeros(n, dtype=bool)
         if self.memory_labels.size:
-            counts = _kernels.hamming_matrix(q_words, self.memory_words)
-            sims = 1.0 - counts / self._encoder.dim
+            sims = _kernels.unbind_similarities(q_words, None, self.memory_words,
+                                                self._encoder.dim)
             best = np.argmax(sims, axis=1)
             hit = sims[np.arange(n), best] >= self.memory_threshold
             picks[hit] = self.memory_labels[best[hit]]
@@ -452,20 +452,15 @@ class ErrorFleet:
         )
 
 
-def _round_sims(hil: HILModel, q_words: np.ndarray, id_words: np.ndarray) -> np.ndarray:
-    """Similarity of queries unbound from a round's vector to each class ID: (n, C)."""
-    unbound = q_words ^ hil.classification_vector.words[None, :]
-    return 1.0 - _kernels.hamming_matrix(unbound, id_words) / hil.config.dim
-
-
 def _consensus_scores(rounds, q_words: np.ndarray, id_words: np.ndarray):
     """Margin-weighted round scores summed (n, C), and each round's weighted
     score for its own pick (rounds, n)."""
     scores = np.zeros((q_words.shape[0], id_words.shape[0]))
     contrib = np.zeros((len(rounds), q_words.shape[0]))
     for ri, rnd in enumerate(rounds):
-        sims = _round_sims(rnd.hil, q_words, id_words)
         dim = rnd.hil.config.dim
+        sims = _kernels.unbind_similarities(
+            q_words, rnd.hil.classification_vector.words, id_words, dim)
         weighted = (rnd.weight / MILLION) * (_top_margin(sims) + 1.0 / dim)[:, None] * sims
         scores += weighted
         contrib[ri] = weighted[np.arange(sims.shape[0]), np.argmax(sims, axis=1)]
@@ -525,7 +520,8 @@ def fleet_correct(
         subset = wrong
         hil = shared if not rounds else HILModel(config, registry, _encoder=shared.encoder)
         hil.update_encoded(q_words[subset], y[subset].tolist())
-        sims = _round_sims(hil, q_words[subset], id_words)
+        sims = _kernels.unbind_similarities(
+            q_words[subset], hil.classification_vector.words, id_words, config.dim)
         own_picks = np.asarray(label_order)[np.argmax(sims, axis=1)]
         correct = int((own_picks == y[subset]).sum())
         weight = round_weight(subset.size / n_total, correct / subset.size)

@@ -152,10 +152,7 @@ class HILModel:
         if not rows_of:
             return
         for lab, idx in rows_of.items():
-            if lab not in self.class_accumulators:
-                self.class_accumulators[lab] = ConsensusAccumulator(
-                    dim, SeedContext(self.config.seed, "tiebreak-class", lab))
-            self.class_accumulators[lab].add_words(words[idx], 1)
+            self._class_tally(lab).add_words(words[idx], 1)
         # A class's fusion term is its ID bound to its bundle.
         for lab in sorted(rows_of):
             class_id = self.registry.id_for(lab)
@@ -166,6 +163,24 @@ class HILModel:
             self.class_bundles[lab] = bundle
             self._fusion.add(class_id ^ bundle, 1)
         self.classification_vector = self._fusion.finalize()
+
+    def _class_tally(self, lab: int) -> ConsensusAccumulator:
+        """Class ``lab``'s tally, seated empty on first use."""
+        acc = self.class_accumulators.get(lab)
+        if acc is None:
+            acc = self.class_accumulators[lab] = ConsensusAccumulator(
+                self.config.dim, SeedContext(self.config.seed, "tiebreak-class", lab))
+        return acc
+
+    def _restore(self, class_states: dict[int, bytes], fusion_state: bytes) -> None:
+        """Load stored tallies into this untrained model and rebuild its readouts."""
+        for lab, state in class_states.items():
+            acc = self._class_tally(lab)
+            acc.load_state_bytes(state)
+            self.class_bundles[lab] = acc.finalize()
+        self._fusion.load_state_bytes(fusion_state)
+        if class_states:
+            self.classification_vector = self._fusion.finalize()
 
     # -- prediction ------------------------------------------------------
 
@@ -188,9 +203,9 @@ class HILModel:
         """Similarity of unbound queries to every trained class ID: (n, C)."""
         self._require_trained()
         labels = self.labels()
-        unbound = q_words ^ self.classification_vector.words[None, :]
-        counts = _kernels.hamming_matrix(unbound, self.registry.id_words(labels))
-        return labels, 1.0 - counts / self.config.dim
+        return labels, _kernels.unbind_similarities(
+            q_words, self.classification_vector.words, self.registry.id_words(labels),
+            self.config.dim)
 
     def predict_encoded(self, q: Hypervector) -> tuple[int, dict[int, float]]:
         if q.dim != self.config.dim:
@@ -216,7 +231,7 @@ class HILModel:
         labels = self.labels()
         q = self.encoder.encode(values)
         bundles = np.stack([self.class_bundles[lab].words for lab in labels])
-        sims = 1.0 - _kernels.hamming_matrix(q.words[None, :], bundles)[0] / self.config.dim
+        sims = _kernels.unbind_similarities(q.words[None, :], None, bundles, self.config.dim)[0]
         return _argmax_smallest(labels, sims), {lab: float(s) for lab, s in zip(labels, sims)}
 
     # -- bookkeeping -----------------------------------------------------
@@ -247,8 +262,7 @@ def probe(record: Hypervector, key: Hypervector, candidates) -> tuple[int, float
     candidates = list(candidates)
     if not candidates:
         raise InvalidValueError("probe needs at least one candidate")
-    unbound = record ^ key
     words = np.stack([c.words for c in candidates])
-    counts = _kernels.hamming_matrix(unbound.words[None, :], words)[0]
-    best = int(np.argmin(counts))
-    return best, 1.0 - counts[best] / record.dim
+    sims = _kernels.unbind_similarities((record ^ key).words[None, :], None, words, record.dim)[0]
+    best = int(np.argmax(sims))
+    return best, sims[best]

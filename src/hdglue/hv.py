@@ -313,7 +313,6 @@ class Permutation:
 
     def __init__(self, ctx: SeedContext, dim: int):
         self.dim = check_dim(dim)
-        self.ctx = ctx
         base = random_table(ctx, self.dim)
         inverse = np.argsort(base)
         self._tables = {0: np.arange(self.dim, dtype=np.int64), 1: base, -1: inverse}

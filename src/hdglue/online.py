@@ -96,18 +96,22 @@ def event_to_dict(event) -> dict:
 
 
 def event_from_dict(d: dict):
-    kind = d.get("event")
-    if kind == "add_model":
-        return AddModel(
-            name=str(d["name"]),
-            spec=SyntheticNetworkSpec.from_json_dict(d["spec"]),
-            classes=tuple(int(c) for c in d["classes"]),
-            weight=int(d["weight_millionths"]) / MILLION,
-        )
-    if kind == "observe":
-        return Observe(per_class=int(d["per_class"]))
-    if kind == "evaluate":
-        return Evaluate(label=str(d.get("label", "")))
+    try:
+        kind = d.get("event")
+        if kind == "add_model":
+            return AddModel(
+                name=str(d["name"]),
+                spec=SyntheticNetworkSpec.from_json_dict(d["spec"]),
+                classes=tuple(int(c) for c in d["classes"]),
+                weight=int(d["weight_millionths"]) / MILLION,
+            )
+        if kind == "observe":
+            return Observe(per_class=int(d["per_class"]))
+        if kind == "evaluate":
+            return Evaluate(label=str(d.get("label", "")))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        # An event that is no JSON object, or a field missing or of the wrong type.
+        raise DataFormatError(f"bad schedule event: {e!r}") from e
     raise DataFormatError(f"unknown schedule event {kind!r}")
 
 
@@ -147,8 +151,7 @@ class OnlineSession:
 
     def __init__(self, config: OnlineConfig):
         self.config = config
-        self.registry = ClassRegistry(config.seed, config.dim)
-        self.glue = GlueModel(self.registry, seed=config.seed)
+        self.glue = GlueModel(ClassRegistry(config.seed, config.dim), seed=config.seed)
         self.specs: dict[str, SyntheticNetworkSpec] = {}
         self.intro_order: list[int] = []
         self.next_train_id: dict[int, int] = {}
@@ -186,7 +189,7 @@ class OnlineSession:
             num_levels=self.config.num_levels,
             seed=event.spec.seed,
         )
-        model = HILModel(enc_cfg, self.registry)
+        model = HILModel(enc_cfg, self.glue.registry)
         self.glue.add_model(model, weight=event.weight, name=event.name)
         self.specs[event.name] = event.spec
         for c in event.classes:

@@ -1,5 +1,6 @@
 """Datasets on disk, synthetic sources, and the model container format."""
 
+import collections
 import functools
 import json
 import struct
@@ -15,7 +16,7 @@ from hdglue import (
     HILModel,
     InvalidValueError,
 )
-from hdglue import data_io
+from hdglue import bundling, data_io
 from hdglue.data_io import (
     EmbeddingDataset,
     SyntheticNetworkSpec,
@@ -260,6 +261,20 @@ def test_loaded_hil_predicts_identically_on_random_queries():
     assert np.array_equal(sa, sb)
 
 
+def test_loaded_hil_trains_on_like_the_original():
+    # Class bundles are rebuilt on load: direct comparison reads them, and
+    # further training subtracts each class's old fusion term, built from them.
+    model = trained_hil()
+    loaded = model_from_bytes(model_to_bytes(model))
+    rows = np.random.default_rng(8).normal(0.0, 2.0, size=(20, 32))
+    assert loaded.predict_direct(rows[0]) == model.predict_direct(rows[0])
+    labels = [0, 1, 2, 3] * 5
+    model.update(rows, labels)
+    loaded.update(rows, labels)
+    assert loaded.state_digest() == model.state_digest()
+    assert model_to_bytes(loaded) == model_to_bytes(model)
+
+
 def test_loaded_glue_predicts_identically_on_random_queries():
     glue = trained_glue()
     loaded = model_from_bytes(model_to_bytes(glue))
@@ -290,6 +305,27 @@ def test_loaded_session_keeps_digest():
     loaded = model_from_bytes(model_to_bytes(session))
     assert isinstance(loaded, OnlineSession)
     assert loaded.state_digest() == session.state_digest()
+
+
+def test_load_draws_each_tiebreak_once(monkeypatch):
+    # A loaded tally goes into the accumulator its model already holds, so
+    # no tiebreak vector is drawn a second time for a throwaway copy.
+    draws = collections.Counter()
+    original = bundling.random_hv
+
+    def counted(ctx, dim):
+        draws[ctx] += 1
+        return original(ctx, dim)
+
+    glue = trained_glue()
+    assert any(m.fold_acc is not None for m in glue.members.values())
+    for obj in (trained_hil(), glue):
+        blob = model_to_bytes(obj)
+        draws.clear()
+        with monkeypatch.context() as m:
+            m.setattr(bundling, "random_hv", counted)
+            model_from_bytes(blob)
+        assert draws and max(draws.values()) == 1, draws.most_common(3)
 
 
 def test_container_rejects_corruption():
