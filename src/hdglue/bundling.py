@@ -30,7 +30,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidValueError,
 )
-from .hv import Hypervector, SeedContext, check_dim, num_words, random_hv
+from .hv import MAX_DIM, MIN_DIM, Hypervector, SeedContext, check_dim, num_words, random_hv
 
 __all__ = [
     "MILLION",
@@ -188,7 +188,10 @@ class ConsensusAccumulator:
     def from_state_bytes(cls, data: bytes, tiebreak_ctx: SeedContext) -> "ConsensusAccumulator":
         if len(data) < 20:
             raise DataFormatError("accumulator blob shorter than its header")
-        out = cls(struct.unpack_from("<I", data, 0)[0], tiebreak_ctx)
+        (dim,) = struct.unpack_from("<I", data, 0)
+        if not MIN_DIM <= dim <= MAX_DIM:
+            raise DataFormatError(f"stored dim {dim} outside [{MIN_DIM}, {MAX_DIM}]")
+        out = cls(dim, tiebreak_ctx)
         out.load_state_bytes(data)
         return out
 

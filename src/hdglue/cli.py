@@ -81,12 +81,6 @@ def _write_metrics(path: str, command: str, config: dict, body: dict, t0: float)
     atomic_write_text(path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
 
 
-def _metrics_path(args, fallback: str) -> str:
-    if args.metrics:
-        return args.metrics
-    return fallback
-
-
 def _accuracy_report(picks: np.ndarray, labels: np.ndarray) -> dict:
     per_class = {}
     for c in sorted(set(labels.tolist())):
@@ -135,7 +129,7 @@ def cmd_gen_synth(args) -> int:
         "test_examples": len(test),
         "files": [train_path, test_path],
     }
-    _write_metrics(_metrics_path(args, os.path.join(args.out, "metrics.json")),
+    _write_metrics(args.metrics or os.path.join(args.out, "metrics.json"),
                    "gen-synth", config, body, t0)
     return 0
 
@@ -160,7 +154,7 @@ def cmd_train(args) -> int:
         test = _load_dataset(args.test)
         picks, _, _ = model.predict_batch(test.values)
         body.update(_accuracy_report(picks, test.labels))
-    _write_metrics(_metrics_path(args, args.out + ".metrics.json"), "train", config, body, t0)
+    _write_metrics(args.metrics or args.out + ".metrics.json", "train", config, body, t0)
     return 0
 
 
@@ -177,7 +171,7 @@ def cmd_eval(args) -> int:
             f"eval expects a single-source model file, got {type(model).__name__}"
         )
     config = {"model": args.model, "data": args.data}
-    _write_metrics(_metrics_path(args, args.model + ".eval.json"),
+    _write_metrics(args.metrics or args.model + ".eval.json",
                    "eval", config, _accuracy_report(picks, test.labels), t0)
     return 0
 
@@ -221,7 +215,7 @@ def cmd_glue(args) -> int:
             n: {str(c): float(sims[i, :, j].mean()) for j, c in enumerate(morder)}
             for i, n in enumerate(mnames)
         }
-    _write_metrics(_metrics_path(args, args.out + ".metrics.json"), "glue", config, body, t0)
+    _write_metrics(args.metrics or args.out + ".metrics.json", "glue", config, body, t0)
     return 0
 
 
@@ -258,7 +252,7 @@ def cmd_correct(args) -> int:
         picks, provenance = fleet.predict_batch(test.values)
         body.update(_accuracy_report(picks, test.labels))
         body["memory_decisions"] = sum(1 for p in provenance if p == "memory")
-    _write_metrics(_metrics_path(args, args.out + ".metrics.json"), "correct", config, body, t0)
+    _write_metrics(args.metrics or args.out + ".metrics.json", "correct", config, body, t0)
     return 0
 
 
@@ -292,7 +286,7 @@ def cmd_online_sim(args) -> int:
         "final_overall_accuracy": session.history[-1]["overall"] if session.history else None,
         "state_digest": session.state_digest(),
     }
-    _write_metrics(_metrics_path(args, os.path.join(args.out, "metrics.json")),
+    _write_metrics(args.metrics or os.path.join(args.out, "metrics.json"),
                    "online-sim", config, body, t0)
     return 0
 
@@ -331,7 +325,7 @@ def cmd_bench(args) -> int:
         "train_per_class": args.train,
         "test_per_class": args.test,
     }
-    _write_metrics(_metrics_path(args, args.out or "bench.json"),
+    _write_metrics(args.metrics or args.out or "bench.json",
                    "bench", config, {"per_dim": results, "classes": n_classes}, t0)
     for dim in dims:
         r = results[str(dim)]
@@ -351,11 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p, out_required=True, encoder=False):
         p.add_argument("--seed", type=int, default=_env_seed(),
                        help="master seed (default: $HDGLUE_SEED or 0)")
-        p.add_argument("--dim", type=int, default=10_000, help="hypervector bits")
-        p.add_argument("--levels", type=int, default=65, help="quantization levels")
+        if encoder:
+            p.add_argument("--dim", type=int, default=10_000, help="hypervector bits")
+            p.add_argument("--levels", type=int, default=65, help="quantization levels")
         p.add_argument("--metrics", help="metrics JSON path (default: next to --out)")
         if out_required:
             p.add_argument("--out", required=True, help="output path")
@@ -371,14 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train a model on one dataset")
-    common(p)
+    common(p, encoder=True)
     p.add_argument("--data", required=True, help="training dataset (.hdge or .csv)")
     p.add_argument("--test", help="optional test dataset for accuracy reporting")
     p.add_argument("--registry-seed", type=int, help="class ID seed (default: --seed)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
-    p.add_argument("--seed", type=int, default=_env_seed())
     p.add_argument("--metrics", help="metrics JSON path")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
@@ -393,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_glue)
 
     p = sub.add_parser("correct", help="train corrective rounds on a dataset")
-    common(p)
+    common(p, encoder=True)
     p.add_argument("--data", required=True)
     p.add_argument("--test", help="optional test dataset")
     p.add_argument("--registry-seed", type=int)
@@ -403,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_correct)
 
     p = sub.add_parser("online-sim", help="replay a model/class arrival schedule")
-    common(p)
+    common(p, encoder=True)
     p.add_argument("--schedule", help="schedule JSON (default: staged specialist protocol)")
     p.add_argument("--models", type=int, default=5, help="staged default: number of models")
     p.add_argument("--classes-per-stage", type=int, default=2)
@@ -413,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_online_sim)
 
     p = sub.add_parser("bench", help="accuracy and latency across dimensions")
-    common(p, out_required=False)
+    common(p, out_required=False, encoder=True)
     p.add_argument("--out", help="metrics JSON path (default: bench.json)")
     p.add_argument("--dims", help=f"comma-separated dims (default {','.join(map(str, DEFAULT_BENCH_DIMS))})")
     p.add_argument("--models", type=int, default=5)

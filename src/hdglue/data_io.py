@@ -22,7 +22,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .encoding import EncoderConfig, SignalEncoder
 from .errors import DataFormatError, HDGlueError, InvalidValueError
 from .glue import ErrorFleet, FleetRound, GlueModel
 from .hil import ClassRegistry, HILModel
-from .hv import Hypervector, SeedContext, num_words
+from .hv import HashStream, Hypervector, SeedContext, num_words
 from .hv import random_hv  # not called here, but perfbench/spans.py patches it here
 
 __all__ = [
@@ -302,8 +302,6 @@ def two_cluster_spec(seed: int = 0, length: int = 32, scale: float = 2.0,
 
 
 def _signature_means(classes, length, signature_size, scale, seed) -> np.ndarray:
-    from .hv import HashStream  # local: avoids widening the hv import list above
-
     means = np.zeros((len(classes), length), dtype=np.float32)
     for row, c in enumerate(classes):
         stream = HashStream(SeedContext(seed, "class-mean", int(c)))
@@ -600,9 +598,15 @@ def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
 
 def _session_state(session) -> tuple[dict, dict]:
     gcfg, gblobs = _glue_state(session.glue)
-    config = session._payload()
-    config["specs"] = {name: spec.to_json_dict() for name, spec in sorted(session.specs.items())}
-    config["glue"] = gcfg
+    config = {
+        "config": asdict(session.config),
+        "events": session.events_applied,
+        "glue": gcfg,
+        "history": session.history,
+        "intro_order": session.intro_order,
+        "next_train_id": {str(k): v for k, v in sorted(session.next_train_id.items())},
+        "specs": {name: spec.to_json_dict() for name, spec in sorted(session.specs.items())},
+    }
     return config, {f"glue/{k}": v for k, v in gblobs.items()}
 
 
@@ -638,6 +642,11 @@ def model_to_bytes(obj) -> bytes:
         if isinstance(obj, cls):
             return _pack_container(kind, *state(obj))
     raise InvalidValueError(f"cannot serialize {type(obj).__name__}")
+
+
+def state_digest(obj) -> str:
+    """BLAKE2b-128 hex of ``obj``'s container bytes, the one definition of its state."""
+    return hashlib.blake2b(model_to_bytes(obj), digest_size=16).hexdigest()
 
 
 def model_from_bytes(data: bytes, path: str = "<bytes>"):

@@ -19,8 +19,6 @@ memory of stubborn examples can sit in front of the consensus.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from . import _kernels
@@ -339,16 +337,10 @@ class GlueModel:
         return {m.name: m.weight / MILLION for m in self.members.values() if m.active}
 
     def state_digest(self) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(f"{self.seed}:{self.dim}:{self.registry.seed}".encode())
-        for name, m in self.members.items():
-            vec = m.vector.to_bytes() if m.vector is not None else b"-"
-            h.update(f"{name}:{m.index}:{m.weight}:{int(m.active)}".encode())
-            h.update(vec)
-            if m.hil is not None:
-                h.update(m.hil.state_digest().encode())
-        h.update(self._fusion.state_bytes())
-        return h.hexdigest()
+        """BLAKE2b-128 hex of the glue's saved bytes: equal digests, equal files."""
+        from .data_io import state_digest  # data_io imports this module
+
+        return state_digest(self)
 
     def __repr__(self):
         n_active = sum(m.active for m in self.members.values())

@@ -14,9 +14,6 @@ space is what lets their classification vectors be fused later.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict
 from types import MappingProxyType
 
 import numpy as np
@@ -237,15 +234,10 @@ class HILModel:
     # -- bookkeeping -----------------------------------------------------
 
     def state_digest(self) -> str:
-        """Hash of everything that defines the model's behaviour."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(json.dumps(asdict(self.config), sort_keys=True).encode())
-        h.update(str(self.registry.seed).encode())
-        for lab in self.labels():
-            h.update(str(lab).encode())
-            h.update(self.class_accumulators[lab].state_bytes())
-        h.update(self._fusion.state_bytes())
-        return h.hexdigest()
+        """BLAKE2b-128 hex of the model's saved bytes: equal digests, equal files."""
+        from .data_io import state_digest  # data_io imports this module
+
+        return state_digest(self)
 
     def __repr__(self):
         return (

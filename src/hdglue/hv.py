@@ -229,7 +229,8 @@ class Hypervector:
         if len(data) < 4:
             raise DataFormatError("hypervector blob shorter than its header")
         (dim,) = struct.unpack_from("<I", data, 0)
-        dim = check_dim(dim)
+        if not MIN_DIM <= dim <= MAX_DIM:
+            raise DataFormatError(f"stored dim {dim} outside [{MIN_DIM}, {MAX_DIM}]")
         body = data[4:]
         if len(body) != num_words(dim) * 8:
             raise DataFormatError(

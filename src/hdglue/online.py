@@ -11,15 +11,14 @@ a snapshot can resume mid-stream bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundling import MILLION, to_millionths
-from .data_io import SyntheticNetworkSpec
+from .data_io import SyntheticNetworkSpec, state_digest
 from .encoding import EncoderConfig
 from .errors import DataFormatError, InvalidValueError
 from .glue import GlueModel
@@ -237,21 +236,9 @@ class OnlineSession:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _payload(self) -> dict:
-        """Session config and replay progress: the digest's JSON and the file's."""
-        return {
-            "config": asdict(self.config),
-            "events": self.events_applied,
-            "history": self.history,
-            "intro_order": self.intro_order,
-            "next_train_id": {str(k): v for k, v in sorted(self.next_train_id.items())},
-        }
-
     def state_digest(self) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(json.dumps(self._payload(), sort_keys=True, separators=(",", ":")).encode())
-        h.update(self.glue.state_digest().encode())
-        return h.hexdigest()
+        """BLAKE2b-128 hex of the session's saved bytes: equal digests, equal files."""
+        return state_digest(self)
 
 
 def session_run(schedule, config: OnlineConfig) -> OnlineSession:

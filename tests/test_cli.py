@@ -123,7 +123,7 @@ def test_glue_fuses_and_reports_members(tmp_path):
     models, tests = member_files(tmp_path)
     out = tmp_path / "glue.hdgm"
     code = run("glue", "--models", *models, "--data", *tests, "--out", out,
-               "--seed", 0, "--dim", 2000)
+               "--seed", 0)
     assert code == 0
     metrics = read_json(str(out) + ".metrics.json")
     assert metrics["members"] == [f"m{i}" for i in range(5)]
@@ -137,7 +137,7 @@ def test_glue_drop_runs_with_remaining_members(tmp_path):
     models, tests = member_files(tmp_path)
     out = tmp_path / "four.hdgm"
     code = run("glue", "--models", *models, "--data", *tests, "--out", out,
-               "--seed", 0, "--dim", 2000, "--drop", "m1")
+               "--seed", 0, "--drop", "m1")
     assert code == 0
     metrics = read_json(str(out) + ".metrics.json")
     assert metrics["members"] == ["m0", "m2", "m3", "m4"]
@@ -218,6 +218,9 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run("train")  # missing required arguments
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run("glue", "--models", "m0.hdgm", "--out", "glue.hdgm", "--dim", 2000)  # no such option
     assert exc.value.code == 2
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import json
 import struct
 
@@ -249,6 +250,12 @@ def test_container_roundtrip_is_byte_identical_for_every_kind(tmp_path):
         second = str(tmp_path / f"{name}2.hdgm")
         save_model(loaded, second)
         assert open(path, "rb").read() == open(second, "rb").read()
+
+
+def test_state_digest_is_the_hash_of_the_container_bytes():
+    for obj in (trained_hil(), trained_glue(), trained_session()):
+        expected = hashlib.blake2b(model_to_bytes(obj), digest_size=16).hexdigest()
+        assert obj.state_digest() == expected
 
 
 def test_loaded_hil_predicts_identically_on_random_queries():

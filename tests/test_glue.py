@@ -532,6 +532,23 @@ def test_refused_add_leaves_the_glue_byte_identical():
     assert model_to_bytes(glue) == model_to_bytes(clean)
 
 
+def test_digest_tells_apart_folds_that_read_out_alike():
+    # Folding m0 and m1 at weights 1 and at 3 reads out one composite
+    # vector, but the fold tallies differ, and so does the next fold.
+    dim = 256
+    specs = specialist_specs(0, n_models=3, n_classes=6)
+    registry = ClassRegistry(0, dim)
+    members = [train_member(s, registry, dim, n_train=10) for s in specs]
+    one, three = (GlueModel.build(members, weights=[w, w, 3.0]) for w in (1.0, 3.0))
+    for glue in (one, three):
+        glue.compress(["m0", "m1"], 1.0, name="f")
+    assert one.member("f").vector == three.member("f").vector
+    assert one.state_digest() != three.state_digest()
+    for glue in (one, three):
+        glue.compress(["f", "m2"], 1.0, name="g")
+    assert one.member("g").vector != three.member("g").vector
+
+
 def test_folded_crew_queries_only_through_surviving_names():
     specs, _, members = crew(0, dim=1024)
     glue = GlueModel.build(members, seed=0)

@@ -1,16 +1,20 @@
 """Input from outside the program fails with DataFormatError, never a builtin error.
 
-Each case below once leaked the builtin error named in its id: a schedule,
-a source spec, a CSV dataset, or a spec file handed to ``hdglue gen-synth``.
+Each case below once leaked the error named in its id: a schedule, a source
+spec, a CSV dataset, a spec file handed to ``hdglue gen-synth``, or a stored
+hypervector or tally whose header names a width out of range.
 """
 
 import json
+import struct
 
 import pytest
 
+from hdglue.bundling import ConsensusAccumulator
 from hdglue.cli import main
 from hdglue.data_io import SyntheticNetworkSpec, default_spec, load_dataset_csv
 from hdglue.errors import DataFormatError
+from hdglue.hv import Hypervector, SeedContext
 from hdglue.online import schedule_from_json
 
 
@@ -50,6 +54,11 @@ CASES = [
     pytest.param(_spec(specialization=[[0]]), id="spec-one-element-pair-ValueError"),
     pytest.param(_csv_not_utf8, id="csv-not-utf8-UnicodeDecodeError"),
     pytest.param(_gen_synth_spec_not_json, id="cli-gen-synth-spec-not-json-JSONDecodeError"),
+    pytest.param(lambda tmp_path: ConsensusAccumulator.from_state_bytes(
+        struct.pack("<IqQ", 5, 0, 0), SeedContext(0, "t", 0)),
+        id="tally-dim-5-InvalidDimensionError"),
+    pytest.param(lambda tmp_path: Hypervector.from_bytes(struct.pack("<I", 5)),
+                 id="hypervector-dim-5-InvalidDimensionError"),
 ]
 
 

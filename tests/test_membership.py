@@ -8,9 +8,6 @@ round trips keeps two invariants:
   weight it holds now, and the removed seats removed at the end;
 - a refused step raises a typed ``HDGlueError`` and changes no byte of the
   model file.
-
-Bytes are compared, not only ``state_digest``, because the digest leaves
-out the next seat index.
 """
 
 import math
