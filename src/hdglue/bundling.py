@@ -5,7 +5,9 @@ with weight w moves each tally by +w where the bit is 1 and -w where it
 is 0. Weights are fixed-point integers in millionths, so accumulation is
 exact integer arithmetic: any order of adds, subtracts, and merges over
 the same multiset lands on identical counters, and removing a term
-restores the prior state bit for bit.
+restores the prior state bit for bit. A change that would bring a tally's
+total weight to 2**62 millionths is refused before anything moves, so no
+int64 counter can wrap.
 
 A batch of n terms of equal weight w lands in one step. A bit set in k of
 the n rows moves its tally by w*k - w*(n - k) = w*(2k - n), which is the
@@ -30,17 +32,19 @@ from .errors import (
     DimensionMismatchError,
     InvalidValueError,
 )
-from .hv import MAX_DIM, MIN_DIM, Hypervector, SeedContext, check_dim, num_words, random_hv
+from .hv import Hypervector, SeedContext, check_dim, num_words, random_hv
 
 __all__ = [
     "MILLION",
     "ConsensusAccumulator",
     "majority",
-    "normalized_weights",
     "to_millionths",
 ]
 
 MILLION = 1_000_000
+# Every total stays below this many millionths, so no counter, step or
+# partial sum leaves int64.
+_WEIGHT_CAP = 1 << 62
 
 
 def to_millionths(weight) -> int:
@@ -59,17 +63,6 @@ def to_millionths(weight) -> int:
     if m <= 0:
         raise InvalidValueError(f"weight must be positive, got {weight!r}")
     return m
-
-
-def normalized_weights(weights) -> list[float]:
-    """Scale positive weights so they sum to their count (fractional votes)."""
-    ws = [float(w) for w in weights]
-    if not ws:
-        return []
-    if any(w <= 0 or not np.isfinite(w) for w in ws):
-        raise InvalidValueError("weights must be positive and finite")
-    total = sum(ws)
-    return [w * len(ws) / total for w in ws]
 
 
 class ConsensusAccumulator:
@@ -91,12 +84,19 @@ class ConsensusAccumulator:
 
     # -- mutation --------------------------------------------------------
 
+    def _check_room(self, extra: int) -> None:
+        """Refuse a change that would bring the total weight to _WEIGHT_CAP."""
+        if self.total_weight + extra >= _WEIGHT_CAP:
+            raise InvalidValueError("total weight would reach the cap of 2**62 millionths")
+
     def _tally(self, words: np.ndarray, m: int, sign: int = 1) -> None:
         """Move each counter by sign * m * (set - clear) over the rows of ``words``."""
         n, step = words.shape[0], sign * m
-        # In place, with one temporary: a single add is a hot call.
-        self.counters += 2 * step * _kernels.column_counts(words, self.dim)
+        self._check_room(step * n)
+        # In place, with one temporary: a single add is a hot call. Moving by
+        # -step * n first keeps every partial sum inside int64 below the cap.
         self.counters -= step * n
+        self.counters += 2 * step * _kernels.column_counts(words, self.dim)
         self.total_weight += step * n
         self.term_count += sign * n
 
@@ -130,27 +130,14 @@ class ConsensusAccumulator:
             )
         self._tally(self._row(v), m, -1)
 
-    def merge(self, other: "ConsensusAccumulator") -> "ConsensusAccumulator":
-        """New accumulator holding both tallies."""
+    def merge(self, other: "ConsensusAccumulator") -> None:
+        """Add ``other``'s tally to this one in place; the tiebreak stays this one's."""
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
-        if self.tiebreak_ctx != other.tiebreak_ctx:
-            raise InvalidValueError("cannot merge accumulators with different tiebreaks")
-        out = self.copy()
-        out.counters += other.counters
-        out.total_weight += other.total_weight
-        out.term_count += other.term_count
-        return out
-
-    def copy(self) -> "ConsensusAccumulator":
-        out = ConsensusAccumulator.__new__(ConsensusAccumulator)
-        out.dim = self.dim
-        out.counters = self.counters.copy()
-        out.total_weight = self.total_weight
-        out.term_count = self.term_count
-        out.tiebreak_ctx = self.tiebreak_ctx
-        out._tiebreak = self._tiebreak
-        return out
+        self._check_room(other.total_weight)
+        self.counters += other.counters
+        self.total_weight += other.total_weight
+        self.term_count += other.term_count
 
     # -- readout ---------------------------------------------------------
 
@@ -184,17 +171,6 @@ class ConsensusAccumulator:
             + self.counters.astype("<i8").tobytes()
         )
 
-    @classmethod
-    def from_state_bytes(cls, data: bytes, tiebreak_ctx: SeedContext) -> "ConsensusAccumulator":
-        if len(data) < 20:
-            raise DataFormatError("accumulator blob shorter than its header")
-        (dim,) = struct.unpack_from("<I", data, 0)
-        if not MIN_DIM <= dim <= MAX_DIM:
-            raise DataFormatError(f"stored dim {dim} outside [{MIN_DIM}, {MAX_DIM}]")
-        out = cls(dim, tiebreak_ctx)
-        out.load_state_bytes(data)
-        return out
-
     def load_state_bytes(self, data: bytes) -> None:
         """Replace the tally, in place, with one written by :meth:`state_bytes`.
 
@@ -208,8 +184,8 @@ class ConsensusAccumulator:
         body = data[20:]
         if len(body) != dim * 8:
             raise DataFormatError(f"accumulator blob for dim {dim} has wrong payload size")
-        if total_weight < 0:
-            raise DataFormatError("negative total weight")
+        if not 0 <= total_weight < _WEIGHT_CAP:
+            raise DataFormatError(f"total weight {total_weight} outside [0, 2**62)")
         counters = np.frombuffer(body, dtype="<i8").astype(np.int64)
         if np.abs(counters).max(initial=0) > total_weight:
             raise DataFormatError("counter magnitude exceeds total weight")

@@ -406,8 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", action="store_true", help="also save the final session state")
     p.set_defaults(fn=cmd_online_sim)
 
-    p = sub.add_parser("bench", help="accuracy and latency across dimensions")
-    common(p, out_required=False, encoder=True)
+    # No abbreviations here, so a stray --dim is refused instead of read as --dims.
+    p = sub.add_parser("bench", help="accuracy and latency across dimensions", allow_abbrev=False)
+    common(p, out_required=False)
+    p.add_argument("--levels", type=int, default=65, help="quantization levels")
     p.add_argument("--out", help="metrics JSON path (default: bench.json)")
     p.add_argument("--dims", help=f"comma-separated dims (default {','.join(map(str, DEFAULT_BENCH_DIMS))})")
     p.add_argument("--models", type=int, default=5)

@@ -88,7 +88,10 @@ class EmbeddingDataset:
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            raise InvalidValueError(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         if self.values.ndim != 2:
             raise InvalidValueError(f"values must be 2-d, got shape {self.values.shape}")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.values.shape[0]:

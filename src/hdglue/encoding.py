@@ -33,6 +33,7 @@ from .hv import (
     Hypervector,
     SeedContext,
     check_dim,
+    check_int,
     num_words,
     random_hv,
     random_table,
@@ -70,11 +71,14 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.length, (int, np.integer)) or self.length < 1:
-            raise InvalidValueError(f"length must be a positive integer, got {self.length!r}")
+        # Plain ints, so a model built from numpy integers still saves as JSON.
+        for name in ("length", "num_levels", "seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        if self.length < 1:
+            raise InvalidValueError(f"length must be positive, got {self.length}")
         if self.length > MAX_LENGTH:
             raise InvalidValueError(f"length {self.length} above cap {MAX_LENGTH}")
-        check_dim(self.dim)
+        object.__setattr__(self, "dim", check_dim(self.dim))
         if not MIN_LEVELS <= self.num_levels <= MAX_LEVELS:
             raise InvalidValueError(
                 f"num_levels {self.num_levels} outside [{MIN_LEVELS}, {MAX_LEVELS}]"
@@ -157,7 +161,8 @@ def _quantize_array(values: np.ndarray, num_levels: int) -> np.ndarray:
 
 
 class PositionBasis:
-    """One random role vector per signal component, drawn from ``ctx``."""
+    """One random role vector per signal component, drawn from ``ctx``: row i
+    of the read-only (length, words) matrix ``words``."""
 
     def __init__(self, dim: int, length: int, ctx: SeedContext):
         dim = check_dim(dim)
@@ -169,13 +174,6 @@ class PositionBasis:
         for i in range(length):
             self.words[i] = random_hv(replace(ctx, index=i), dim).words
         self.words.setflags(write=False)
-        self.positions = [Hypervector(dim, self.words[i]) for i in range(length)]
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> Hypervector:
-        return self.positions[i]
 
 
 class SignalEncoder:

@@ -98,13 +98,13 @@ class GlueModel:
             self._glue_vector = self._fusion.finalize()
         return self._glue_vector
 
-    def _fusion_add(self, term: Hypervector, weight: int) -> None:
-        self._fusion.add(term, weight / MILLION)
-        self._glue_vector = None
-
-    def _fusion_sub(self, term: Hypervector, weight: int) -> None:
-        self._fusion.sub(term, weight / MILLION)
-        self._glue_vector = None
+    def _term(self, member: GlueMember, sign: int) -> None:
+        """Add (``sign`` 1) or withdraw (-1) a member's term, its model ID bound
+        to its vector at its weight; a member with no vector yet has no term."""
+        if member.vector is not None:
+            fusion = self._fusion.add if sign > 0 else self._fusion.sub
+            fusion(member.model_id ^ member.vector, member.weight / MILLION)
+            self._glue_vector = None
 
     def active_names(self) -> list[str]:
         return [m.name for m in self.members.values() if m.active]
@@ -124,6 +124,7 @@ class GlueModel:
         ``add_model(None, name=...)`` is how it is re-added.
         """
         weight = to_millionths(weight)  # a refused weight changes nothing
+        self._fusion._check_room(weight)  # nor does one the fusion tally cannot hold
         if name is not None and name in self.members:
             member = self.members[name]
             if member.active:
@@ -131,8 +132,7 @@ class GlueModel:
             if member.hil is not model:
                 raise InvalidValueError(f"member name {name!r} belongs to a different model")
             member.weight = weight
-            if member.vector is not None:
-                self._fusion_add(member.model_id ^ member.vector, member.weight)
+            self._term(member, 1)
             member.active = True
             return name
         if not isinstance(model, HILModel):
@@ -147,8 +147,7 @@ class GlueModel:
             raise InvalidValueError(f"member name {name!r} already taken")
         member = self._seat(name, self._next_index, weight, model.labels(), hil=model)
         self._next_index += 1
-        if member.vector is not None:
-            self._fusion_add(member.model_id ^ member.vector, member.weight)
+        self._term(member, 1)
         return name
 
     def remove_model(self, name: str) -> None:
@@ -158,8 +157,7 @@ class GlueModel:
             raise InvalidValueError(f"member {name!r} already removed")
         if sum(m.active for m in self.members.values()) == 1:
             raise InvalidValueError("cannot remove the only active member")
-        if member.vector is not None:
-            self._fusion_sub(member.model_id ^ member.vector, member.weight)
+        self._term(member, -1)
         member.active = False
 
     def update_member(self, name: str, rows, labels) -> None:
@@ -169,13 +167,12 @@ class GlueModel:
             raise InvalidValueError(f"member {name!r} is removed")
         if member.hil is None:
             raise InvalidValueError(f"member {name!r} is a folded composite, cannot update")
-        old = member.vector
+        if member.vector is None:
+            self._fusion._check_room(member.weight)  # its first term must fit
         member.hil.update(rows, labels)
-        new = member.hil.classification_vector
-        if old is not None:
-            self._fusion_sub(member.model_id ^ old, member.weight)
-        self._fusion_add(member.model_id ^ new, member.weight)
-        member.vector = new
+        self._term(member, -1)
+        member.vector = member.hil.classification_vector
+        self._term(member, 1)
         member.labels = set(member.hil.labels())
 
     def compress(self, names, new_weight, name: str | None = None) -> str:
@@ -206,27 +203,26 @@ class GlueModel:
         if name in self.members and name not in names:
             raise InvalidValueError(f"member name {name!r} already taken")
 
-        # Every check has passed; nothing was changed before this point.
-        self._next_index += 1
+        self._fusion._check_room(weight - sum(m.weight for m in picked))
         fold_acc = self._fold_tally(index)
         for member in picked:
             if member.fold_acc is not None:
                 # A composite re-opens its stored tallies (original fold
                 # votes); ties rebase onto the new composite's context.
-                fold_acc.counters += member.fold_acc.counters
-                fold_acc.total_weight += member.fold_acc.total_weight
-                fold_acc.term_count += member.fold_acc.term_count
+                fold_acc.merge(member.fold_acc)
             else:
                 fold_acc.add(member.vector, member.weight / MILLION)
+        # Every check has passed; nothing was changed before this point.
+        self._next_index += 1
         # Heaviest member keeps answering; earliest seat breaks weight ties.
         designated = min(picked, key=lambda m: (-m.weight, order[m.name]))
 
         for member in picked:
-            self._fusion_sub(member.model_id ^ member.vector, member.weight)
+            self._term(member, -1)
             del self.members[member.name]
         composite = self._seat(name, index, weight, set().union(*(m.labels for m in picked)),
                                encoder=designated.encoder, fold_acc=fold_acc)
-        self._fusion_add(composite.model_id ^ composite.vector, composite.weight)
+        self._term(composite, 1)
         return name
 
     def _fold_tally(self, index: int, state: bytes | None = None) -> ConsensusAccumulator:
@@ -332,9 +328,6 @@ class GlueModel:
         return int(picks[0]), dict(zip(labels, scores[0].tolist()))
 
     # -- bookkeeping -----------------------------------------------------
-
-    def weights(self) -> dict[str, float]:
-        return {m.name: m.weight / MILLION for m in self.members.values() if m.active}
 
     def state_digest(self) -> str:
         """BLAKE2b-128 hex of the glue's saved bytes: equal digests, equal files."""

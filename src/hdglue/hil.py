@@ -26,7 +26,7 @@ from .errors import (
     InvalidValueError,
     UntrainedModelError,
 )
-from .hv import Hypervector, SeedContext, check_dim, num_words, random_hv, tail_mask
+from .hv import Hypervector, SeedContext, check_dim, check_int, num_words, random_hv, tail_mask
 
 __all__ = ["ClassRegistry", "HILModel", "probe"]
 
@@ -44,9 +44,7 @@ class ClassRegistry:
         self._ids: dict[int, Hypervector] = {}
 
     def id_for(self, label: int) -> Hypervector:
-        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
-            raise InvalidValueError(f"labels must be integers, got {label!r}")
-        label = int(label)
+        label = check_int("label", label)
         if label < 0:
             raise InvalidValueError(f"labels must be non-negative, got {label}")
         hv = self._ids.get(label)
@@ -72,11 +70,6 @@ class ClassRegistry:
 
     def __repr__(self):
         return f"ClassRegistry(seed={self.seed}, dim={self.dim})"
-
-
-def _argmax_smallest(labels: list[int], scores: np.ndarray) -> int:
-    # labels arrive sorted ascending, so the first maximum is the smallest label.
-    return labels[int(np.argmax(scores))]
 
 
 class HILModel:
@@ -189,16 +182,10 @@ class HILModel:
         """Examples trained per class: each class tally's term count."""
         return MappingProxyType({k: a.term_count for k, a in self.class_accumulators.items()})
 
-    def encode(self, values) -> Hypervector:
-        return self.encoder.encode(values)
-
-    def _require_trained(self):
-        if self.classification_vector is None:
-            raise UntrainedModelError("model has no trained classes")
-
     def _score_words(self, q_words: np.ndarray) -> tuple[list[int], np.ndarray]:
         """Similarity of unbound queries to every trained class ID: (n, C)."""
-        self._require_trained()
+        if self.classification_vector is None:
+            raise UntrainedModelError("model has no trained classes")
         labels = self.labels()
         return labels, _kernels.unbind_similarities(
             q_words, self.classification_vector.words, self.registry.id_words(labels),
@@ -208,7 +195,8 @@ class HILModel:
         if q.dim != self.config.dim:
             raise DimensionMismatchError(f"query dim {q.dim} vs model dim {self.config.dim}")
         labels, sims = self._score_words(q.words[None, :])
-        return _argmax_smallest(labels, sims[0]), dict(zip(labels, sims[0].tolist()))
+        # Labels arrive sorted, so the first maximum is the smallest label.
+        return labels[int(np.argmax(sims[0]))], dict(zip(labels, sims[0].tolist()))
 
     def predict(self, values) -> tuple[int, dict[int, float]]:
         """Predicted label and the per-class similarity scores behind it."""
@@ -219,17 +207,6 @@ class HILModel:
         labels, sims = self._score_words(self.encoder.encode_batch(rows))
         picks = np.asarray(labels, dtype=np.int64)[np.argmax(sims, axis=1)]
         return picks, sims, labels
-
-    # -- direct comparison (no symbol unbinding) -------------------------
-
-    def predict_direct(self, values) -> tuple[int, dict[int, float]]:
-        """Nearest stored class bundle to the encoded query."""
-        self._require_trained()
-        labels = self.labels()
-        q = self.encoder.encode(values)
-        bundles = np.stack([self.class_bundles[lab].words for lab in labels])
-        sims = _kernels.unbind_similarities(q.words[None, :], None, bundles, self.config.dim)[0]
-        return _argmax_smallest(labels, sims), {lab: float(s) for lab, s in zip(labels, sims)}
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -59,6 +59,13 @@ def check_dim(dim: int) -> int:
     return dim
 
 
+def check_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer raises InvalidValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def num_words(dim: int) -> int:
     return (dim + 63) // 64
 
@@ -83,9 +90,6 @@ class SeedContext:
     master_seed: int
     namespace: str
     index: int = 0
-
-    def child(self, index: int) -> "SeedContext":
-        return SeedContext(self.master_seed, self.namespace, index)
 
 
 def _ctx_prefix(ctx: SeedContext) -> bytes:
@@ -201,18 +205,8 @@ class Hypervector:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
         return Hypervector._wrap(self.dim, self.words ^ other.words)
 
-    def complement(self) -> "Hypervector":
-        words = ~self.words
-        words[-1] &= tail_mask(self.dim)
-        return Hypervector._wrap(self.dim, words)
-
     def popcount(self) -> int:
         return int(np.bitwise_count(self.words).sum())
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.dim:
-            raise IndexError(f"bit {i} out of range for dim {self.dim}")
-        return int((self.words[i // 64] >> np.uint64(i % 64)) & np.uint64(1))
 
     def bits(self) -> np.ndarray:
         """Unpacked uint8 array of length ``dim`` (a copy)."""

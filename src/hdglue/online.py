@@ -23,7 +23,7 @@ from .encoding import EncoderConfig
 from .errors import DataFormatError, InvalidValueError
 from .glue import GlueModel
 from .hil import ClassRegistry, HILModel
-from .hv import DEFAULT_DIM
+from .hv import DEFAULT_DIM, check_int
 
 __all__ = [
     "AddModel",
@@ -49,6 +49,8 @@ class OnlineConfig:
     test_per_class: int = 100
 
     def __post_init__(self):
+        for name in ("dim", "num_levels", "seed", "test_per_class"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.test_per_class < 1:
             raise InvalidValueError("test_per_class must be positive")
 

@@ -161,7 +161,7 @@ def test_refused_update_leaves_the_model_untouched():
     wide = SignalEncoder(EncoderConfig(length=6, dim=192, num_levels=9, seed=3))
     with pytest.raises(DimensionMismatchError, match="row 11"):
         model.update_encoded(np.vstack([encoded[:-1], wide.encode_batch(rows[-1:])]), labels)
-    vectors = [model.encode(r) for r in rows]
+    vectors = [model.encoder.encode(r) for r in rows]
     for bad in (vectors, encoded.astype(np.int64), encoded[:, :2], encoded[0]):
         with pytest.raises(DimensionMismatchError):
             model.update_encoded(bad, labels)

@@ -17,7 +17,7 @@ from hdglue import (
     similarity,
 )
 from hdglue import _kernels
-from hdglue.bundling import MILLION, majority, normalized_weights, to_millionths
+from hdglue.bundling import MILLION, majority, to_millionths
 from hdglue.hv import num_words
 
 DIM = 256
@@ -62,12 +62,6 @@ def test_to_millionths_rejects_junk():
     for bad in (0, -1, 0.0, -0.5, 4e-7, float("nan"), float("inf"), True, "1"):
         with pytest.raises(InvalidValueError):
             to_millionths(bad)
-
-
-def test_normalized_weights_match_convention():
-    w = normalized_weights([MILLION, 3 * MILLION])
-    assert pytest.approx(sum(w)) == 2.0
-    assert w[1] == pytest.approx(3 * w[0])
 
 
 # -- accumulator basics ------------------------------------------------------
@@ -224,7 +218,7 @@ def test_sub_on_fresh_accumulator_underflows():
         acc.sub(vec(0), MILLION)
 
 
-# -- merge and copy ----------------------------------------------------------
+# -- merge -------------------------------------------------------------------
 
 
 def test_merge_equals_sequential_adds():
@@ -232,38 +226,62 @@ def test_merge_equals_sequential_adds():
     a.add(vec(0), MILLION)
     b = ConsensusAccumulator(DIM, TB)
     b.add(vec(1), 500_000)
-    merged = a.merge(b)
+    a.merge(b)
     seq = ConsensusAccumulator(DIM, TB)
     seq.add(vec(0), MILLION)
     seq.add(vec(1), 500_000)
-    assert np.array_equal(merged.counters, seq.counters)
-    assert merged.total_weight == seq.total_weight
-    # merge left inputs untouched
-    assert a.term_count == 1 and b.term_count == 1
+    assert a == seq
+    assert b.term_count == 1  # the merged-in tally is left as it was
 
 
 def test_merge_with_empty_is_identity():
     a = ConsensusAccumulator(DIM, TB)
     a.add(vec(0), MILLION)
-    out = a.merge(ConsensusAccumulator(DIM, TB))
-    assert np.array_equal(out.counters, a.counters)
+    before = a.state_bytes()
+    a.merge(ConsensusAccumulator(DIM, TB))
+    assert a.state_bytes() == before
 
 
-def test_merge_rejects_mismatched_tiebreak():
+def test_merge_keeps_its_own_tiebreak():
     a = ConsensusAccumulator(DIM, TB)
     b = ConsensusAccumulator(DIM, SeedContext(6, "tiebreak"))
-    with pytest.raises(InvalidValueError):
-        a.merge(b)
+    b.add(vec(0))
+    b.sub(vec(0))  # every tally back at an exact zero
+    a.merge(b)
+    assert a.tiebreak_ctx == TB
+    assert a.finalize() == random_hv(TB, DIM)
+    with pytest.raises(DimensionMismatchError):
+        a.merge(ConsensusAccumulator(DIM + 64, TB))
 
 
-def test_copy_is_independent():
-    a = ConsensusAccumulator(DIM, TB)
-    a.add(vec(0), MILLION)
-    c = a.copy()
-    c.add(vec(1), MILLION)
-    assert a.term_count == 1
-    assert c.term_count == 2
-    assert not np.array_equal(a.counters, c.counters)
+# -- the total weight cap ----------------------------------------------------
+
+
+def test_tallies_past_the_weight_cap_are_refused_before_anything_moves():
+    # The heaviest single term a tally holds is 2**62 - 1 millionths, exactly.
+    edge, row, top = ConsensusAccumulator(DIM, TB), vec(0).words[None, :], (1 << 62) - 1
+    edge._tally(row, top)
+    assert np.array_equal(edge.counters, brute_tally([(vec(0), top)], DIM))
+    edge._tally(row, top, -1)
+    assert not edge.counters.any() and edge.total_weight == 0
+    with pytest.raises(InvalidValueError, match="cap"):
+        edge._tally(row, top + 1)
+    # 2**62 millionths is about 4.6e12 votes; near it the counters stay exact.
+    acc = ConsensusAccumulator(DIM, TB)
+    acc.add(vec(0), 4_000_000_000_000)
+    acc.add(vec(1), 600_000_000_000)
+    pairs = [(vec(0), 4 * 10**18), (vec(1), 6 * 10**17)]
+    assert np.array_equal(acc.counters, brute_tally(pairs, DIM))
+    assert acc.finalize() == brute_majority(pairs, random_hv(TB, DIM))
+    heavy = ConsensusAccumulator(DIM, TB)
+    heavy.add(vec(0), 4e12)
+    before = acc.state_bytes(), heavy.state_bytes()
+    for change in (lambda: heavy.add(vec(0), 4e12), lambda: heavy.add(vec(0), 1e13),
+                   lambda: heavy.add_words(np.stack([vec(1).words] * 2), 4e11),
+                   lambda: acc.merge(heavy), lambda: heavy.merge(acc)):
+        with pytest.raises(InvalidValueError, match="cap"):
+            change()
+        assert (acc.state_bytes(), heavy.state_bytes()) == before
 
 
 # -- order independence and oracle agreement ---------------------------------
@@ -353,8 +371,7 @@ def test_similarity_pull_toward_terms():
     trials = 0
     for t in range(40):
         n = 3 + 2 * (t % 16)  # odd sizes 3..33
-        ctx = SeedContext(t, "pull")
-        vs = [random_hv(ctx.child(i), dim) for i in range(n)]
+        vs = [random_hv(SeedContext(t, "pull", i), dim) for i in range(n)]
         out = majority(vs, random_hv(SeedContext(t, "pull-tb"), dim))
         for v in vs[:3]:
             trials += 1
@@ -366,11 +383,17 @@ def test_similarity_pull_toward_terms():
 # -- state bytes -------------------------------------------------------------
 
 
+def loaded(raw: bytes) -> ConsensusAccumulator:
+    acc = ConsensusAccumulator(DIM, TB)
+    acc.load_state_bytes(raw)
+    return acc
+
+
 def test_state_bytes_round_trip():
     acc = ConsensusAccumulator(DIM, TB)
     acc.add(vec(0), 760_000)
     acc.add(vec(1), 168_000)
-    back = ConsensusAccumulator.from_state_bytes(acc.state_bytes(), TB)
+    back = loaded(acc.state_bytes())
     assert back == acc
     assert back.state_bytes() == acc.state_bytes()
 
@@ -381,7 +404,7 @@ def test_state_bytes_rejects_corrupt_magnitudes():
     raw = bytearray(acc.state_bytes())
     raw[-1] = 0x7F  # counter now exceeds total_weight
     with pytest.raises(DataFormatError):
-        ConsensusAccumulator.from_state_bytes(bytes(raw), TB)
+        loaded(bytes(raw))
 
 
 def test_state_bytes_rejects_truncation():
@@ -389,6 +412,6 @@ def test_state_bytes_rejects_truncation():
     acc.add(vec(0), MILLION)
     raw = acc.state_bytes()
     with pytest.raises(DataFormatError):
-        ConsensusAccumulator.from_state_bytes(raw[:-8], TB)
+        loaded(raw[:-8])
     with pytest.raises(DataFormatError):
-        ConsensusAccumulator.from_state_bytes(raw[:10], TB)
+        loaded(raw[:10])

@@ -130,7 +130,7 @@ def test_glue_fuses_and_reports_members(tmp_path):
     assert metrics["classes"] == list(range(10))
     assert 0.0 <= metrics["overall_accuracy"] <= 1.0
     assert sorted(metrics["per_member_scores"]) == [f"m{i}" for i in range(5)]
-    assert isinstance(load_model(str(out)).weights(), dict)
+    assert load_model(str(out)).active_names() == [f"m{i}" for i in range(5)]
 
 
 def test_glue_drop_runs_with_remaining_members(tmp_path):
@@ -221,6 +221,9 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run("glue", "--models", "m0.hdgm", "--out", "glue.hdgm", "--dim", 2000)  # no such option
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run("bench", "--dims", "1000", "--dim", 2000)  # widths come from --dims only
     assert exc.value.code == 2
 
 

@@ -50,6 +50,12 @@ def test_dataset_validation():
         EmbeddingDataset(np.zeros((2, 4)), [0])
     with pytest.raises(InvalidValueError):
         EmbeddingDataset(np.zeros((2, 4)), [0, -1])
+    for labels in ([0.5, 1.7], [0.0, 1.0], [True, False]):  # never truncated or cast
+        with pytest.raises(InvalidValueError, match="integers"):
+            EmbeddingDataset(np.zeros((2, 4)), labels)
+    assert len(EmbeddingDataset(np.zeros((0, 4)), [])) == 0
+    small_ints = np.asarray([3, 1], dtype=np.uint8)
+    assert EmbeddingDataset(np.zeros((2, 4)), small_ints).labels.tolist() == [3, 1]
     bad = np.zeros((3, 4), dtype=np.float32)
     bad[1, 2] = np.nan
     with pytest.raises(InvalidValueError, match="row 1"):
@@ -269,12 +275,12 @@ def test_loaded_hil_predicts_identically_on_random_queries():
 
 
 def test_loaded_hil_trains_on_like_the_original():
-    # Class bundles are rebuilt on load: direct comparison reads them, and
-    # further training subtracts each class's old fusion term, built from them.
+    # Class bundles are rebuilt on load: further training subtracts each
+    # class's old fusion term, built from them.
     model = trained_hil()
     loaded = model_from_bytes(model_to_bytes(model))
     rows = np.random.default_rng(8).normal(0.0, 2.0, size=(20, 32))
-    assert loaded.predict_direct(rows[0]) == model.predict_direct(rows[0])
+    assert loaded.class_bundles == model.class_bundles
     labels = [0, 1, 2, 3] * 5
     model.update(rows, labels)
     loaded.update(rows, labels)

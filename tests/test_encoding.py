@@ -33,8 +33,8 @@ CTX = SeedContext(17, "level-endpoint")
 
 def test_two_levels_are_the_endpoints():
     t = LevelTable(512, 2, CTX)
-    assert t.levels[0] == random_hv(CTX.child(0), 512)
-    assert t.levels[1] == random_hv(CTX.child(1), 512)
+    assert t.levels[0] == random_hv(SeedContext(17, "level-endpoint", 0), 512)
+    assert t.levels[1] == random_hv(SeedContext(17, "level-endpoint", 1), 512)
 
 
 @pytest.mark.parametrize("num_levels", [2, 5, 17, 65])
@@ -85,6 +85,11 @@ def test_too_many_levels_rejected():
 
 
 # -- quantization ------------------------------------------------------------
+
+
+def position(basis: PositionBasis, i: int) -> Hypervector:
+    """Role vector of component ``i``: row i of the basis's word matrix."""
+    return Hypervector.from_words(basis.dim, basis.words[i])
 
 
 def make_encoder(length=4, dim=512, num_levels=65, seed=17):
@@ -138,7 +143,7 @@ def test_same_bin_means_identical_encoding():
 def test_single_component_binds_exactly():
     enc = make_encoder(length=1, num_levels=65)
     out = enc.encode(np.array([0.0]))
-    assert out == enc.levels.levels[32] ^ enc.positions.positions[0]
+    assert out == enc.levels.levels[32] ^ position(enc.positions, 0)
 
 
 def test_encode_matches_majority_oracle():
@@ -147,7 +152,7 @@ def test_encode_matches_majority_oracle():
     enc = make_encoder(length=6, num_levels=17)
     values = np.array([-3.0, -0.4, 0.0, 0.2, 1.0, 9.0])
     terms = [
-        enc.levels.levels[enc.levels.quantize(x)] ^ enc.positions.positions[i]
+        enc.levels.levels[enc.levels.quantize(x)] ^ position(enc.positions, i)
         for i, x in enumerate(values)
     ]
     assert enc.encode(values) == majority(terms, enc.tiebreak)
@@ -176,7 +181,7 @@ def test_encode_batch_spanning_chunks_equals_loop():
 def reference_encode(enc: SignalEncoder, values) -> Hypervector:
     """Per-bit integer tally of levels[q_l] ^ positions[l]; exact ties take the tiebreak."""
     terms = np.stack([
-        enc.levels.levels[enc.levels.quantize(x)].bits() ^ enc.positions[l].bits()
+        enc.levels.levels[enc.levels.quantize(x)].bits() ^ position(enc.positions, l).bits()
         for l, x in enumerate(values)
     ]).astype(np.int64)
     counts = terms.sum(axis=0)
@@ -259,7 +264,7 @@ def _component_recovery_rate(trials: int) -> float:
         values = rng.normal(size=32)
         record = enc.encode(values)
         for i in range(32):
-            probe = record ^ enc.positions.positions[i]
+            probe = record ^ position(enc.positions, i)
             idx = enc.levels.quantize(values[i])
             d = np.bitwise_count(lev ^ probe.words).sum(axis=1)
             far = np.abs(np.arange(65) - idx) >= 4
@@ -318,5 +323,5 @@ def test_position_basis_near_orthogonal():
     basis = PositionBasis(10_000, 16, SeedContext(3, "position"))
     for i in range(4):
         for j in range(i + 1, 4):
-            s = similarity(basis.positions[i], basis.positions[j])
+            s = similarity(position(basis, i), position(basis, j))
             assert 0.45 <= s <= 0.55

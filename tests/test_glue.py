@@ -218,17 +218,6 @@ def test_build_rejects_empty_and_misaligned_lists():
         GlueModel.build([model], weights=[1.0, 2.0], seed=0)
 
 
-def test_weights_view_tracks_active_members():
-    dim = 512
-    specs = specialist_specs(0, n_models=3, n_classes=6)
-    registry = ClassRegistry(0, dim)
-    members = [train_member(s, registry, dim, n_train=10) for s in specs]
-    glue = GlueModel.build(members, weights=[1.0, 2.0, 0.5], seed=0)
-    assert glue.weights() == {"m0": 1.0, "m1": 2.0, "m2": 0.5}
-    glue.remove_model("m1")
-    assert glue.weights() == {"m0": 1.0, "m2": 0.5}
-
-
 def test_weight_scale_invariance():
     dim = 1024
     specs = specialist_specs(0, n_models=3, n_classes=6)
@@ -269,6 +258,16 @@ def test_update_member_guards():
     name = glue.compress(["m0", "m2"], 1.0)
     with pytest.raises(InvalidValueError):
         glue.update_member(name, rows, [0, 0, 0])
+
+
+def test_empty_update_changes_nothing_even_before_training():
+    spec, registry, model = small_pair()
+    glue = GlueModel.build([model], seed=0)
+    glue.add_model(HILModel(model.config, registry), name="fresh")
+    before = glue.state_digest()
+    for name in ("fresh", "m0"):
+        glue.update_member(name, np.zeros((0, spec.length)), [])
+        assert glue.state_digest() == before
 
 
 def test_cached_glue_vector_follows_every_change_of_the_tally():
@@ -497,7 +496,8 @@ def test_refused_fold_leaves_the_glue_untouched():
     members = [train_member(s, registry, dim, n_train=10) for s in specs]
     glue = GlueModel.build(members, seed=0)
     before = (glue.state_digest(), glue.active_names())
-    for bad in ({"name": "m2"}, {"new_weight": 0}):
+    # 5e12 votes would take the fusion tally past its 2**62-millionth cap.
+    for bad in ({"name": "m2"}, {"new_weight": 0}, {"new_weight": 5e12}):
         with pytest.raises(InvalidValueError):
             glue.compress(["m0", "m1"], **{"new_weight": 1.0, **bad})
         assert (glue.state_digest(), glue.active_names()) == before
@@ -514,7 +514,7 @@ def test_refused_add_leaves_the_glue_byte_identical():
     members = [train_member(s, registry, dim, n_train=10) for s in specs]
     glue = GlueModel(registry, seed=0)
     clean = GlueModel(registry, seed=0)
-    for bad in (0, -1.0, float("nan"), True, "1"):
+    for bad in (0, -1.0, float("nan"), True, "1", 5e12):  # 5e12 votes pass the tally cap
         with pytest.raises(InvalidValueError):
             glue.add_model(members[0], weight=bad)
         assert model_to_bytes(glue) == model_to_bytes(clean)
@@ -525,8 +525,9 @@ def test_refused_add_leaves_the_glue_byte_identical():
         glue.add_model(members[2], weight=0, name="c")
     glue.remove_model("b")
     clean.remove_model("b")
-    with pytest.raises(InvalidValueError):
-        glue.add_model(members[1], weight=0, name="b")  # refused re-add
+    for bad in (0, 5e12):
+        with pytest.raises(InvalidValueError):
+            glue.add_model(members[1], weight=bad, name="b")  # refused re-add
     assert model_to_bytes(glue) == model_to_bytes(clean)
     assert glue.add_model(members[2]) == clean.add_model(members[2]) == "m2"
     assert model_to_bytes(glue) == model_to_bytes(clean)

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name a module exports exists.
 
 The one exception is a name ``perfbench/spans.py`` patches in a module
 without the module calling it: the tracer replaces ``random_hv`` wherever
@@ -7,6 +8,7 @@ there (see tests/test_trace_hooks.py).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,11 @@ def test_module_uses_every_import(module):
 
 def test_scan_finds_an_unused_import():
     assert _unused_imports("import os\nfrom a import b as c, d\nprint(d)\n") == {"os", "c"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module("hdglue" if module == "__init__" else f"hdglue.{module}")
+    exported = getattr(mod, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(mod, name)] == []

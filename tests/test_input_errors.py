@@ -1,21 +1,34 @@
-"""Input from outside the program fails with DataFormatError, never a builtin error.
+"""Input from outside the program fails with a typed error, never a builtin one.
 
-Each case below once leaked the error named in its id: a schedule, a source
-spec, a CSV dataset, a spec file handed to ``hdglue gen-synth``, or a stored
-hypervector or tally whose header names a width out of range.
+Each case in ``CASES`` once leaked the error named in its id: a schedule, a
+source spec, a CSV dataset, a spec file handed to ``hdglue gen-synth``, or a
+stored hypervector or tally whose header names a width out of range. Each
+case in ``CONFIG_CASES`` is a config field that is not an integer; it once
+was accepted or raised a bare TypeError.
 """
 
 import json
 import struct
+from dataclasses import astuple
 
 import pytest
 
+import numpy as np
+
 from hdglue.bundling import ConsensusAccumulator
 from hdglue.cli import main
-from hdglue.data_io import SyntheticNetworkSpec, default_spec, load_dataset_csv
-from hdglue.errors import DataFormatError
+from hdglue.data_io import (
+    SyntheticNetworkSpec,
+    default_spec,
+    load_dataset_csv,
+    model_from_bytes,
+    model_to_bytes,
+)
+from hdglue.encoding import EncoderConfig
+from hdglue.errors import DataFormatError, InvalidValueError
+from hdglue.hil import ClassRegistry, HILModel
 from hdglue.hv import Hypervector, SeedContext
-from hdglue.online import schedule_from_json
+from hdglue.online import OnlineConfig, schedule_from_json
 
 
 def _spec_dict(**changes):
@@ -54,9 +67,9 @@ CASES = [
     pytest.param(_spec(specialization=[[0]]), id="spec-one-element-pair-ValueError"),
     pytest.param(_csv_not_utf8, id="csv-not-utf8-UnicodeDecodeError"),
     pytest.param(_gen_synth_spec_not_json, id="cli-gen-synth-spec-not-json-JSONDecodeError"),
-    pytest.param(lambda tmp_path: ConsensusAccumulator.from_state_bytes(
-        struct.pack("<IqQ", 5, 0, 0), SeedContext(0, "t", 0)),
-        id="tally-dim-5-InvalidDimensionError"),
+    pytest.param(lambda tmp_path: ConsensusAccumulator(64, SeedContext(0, "t", 0))
+                 .load_state_bytes(struct.pack("<IqQ", 5, 0, 0)),
+                 id="tally-dim-5-InvalidDimensionError"),
     pytest.param(lambda tmp_path: Hypervector.from_bytes(struct.pack("<I", 5)),
                  id="hypervector-dim-5-InvalidDimensionError"),
 ]
@@ -71,3 +84,29 @@ def test_outside_input_raises_data_format_error(feed, tmp_path, capsys):
         return
     with pytest.raises(DataFormatError):
         feed(tmp_path)
+
+
+CONFIG_CASES = [
+    pytest.param(lambda: EncoderConfig(length=4, num_levels=5.5), id="levels-5.5-TypeError-later"),
+    pytest.param(lambda: EncoderConfig(length=4, num_levels="x"), id="levels-text-TypeError"),
+    pytest.param(lambda: EncoderConfig(length=4, seed="x"), id="seed-text-TypeError"),
+    pytest.param(lambda: EncoderConfig(length=True), id="length-True-accepted"),
+    pytest.param(lambda: OnlineConfig(test_per_class=2.5), id="test-per-class-2.5-TypeError-later"),
+]
+
+
+@pytest.mark.parametrize("make", CONFIG_CASES)
+def test_non_integer_config_fields_raise_invalid_value_error(make):
+    with pytest.raises(InvalidValueError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_config_fields_become_plain_ints():
+    # A numpy integer left in a config once failed json.dumps when the model was saved.
+    cfg = EncoderConfig(length=np.int32(4), dim=np.int64(256), num_levels=np.uint8(9),
+                        seed=np.int64(3))
+    model = HILModel.train(np.zeros((2, 4)), [0, 1], cfg, ClassRegistry(3, 256))
+    assert model_from_bytes(model_to_bytes(model)).config == cfg
+    online = OnlineConfig(dim=np.int64(256), num_levels=np.int8(9), seed=np.uint64(1),
+                          test_per_class=np.int64(2))
+    assert [type(v) for v in astuple(online)] == [int] * 4
