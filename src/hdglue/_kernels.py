@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Chunked loops over rows size their temporaries to stay near this many
-# entries: unpacked bytes here, float32s in the encoder.
+# column_counts unpacks rows in chunks of about this many bytes.
 _CHUNK_ENTRIES = 1 << 18
 
 

@@ -22,6 +22,7 @@ seeded tiebreak vector so the result is still deterministic.
 from __future__ import annotations
 
 import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,11 +49,17 @@ _WEIGHT_CAP = 1 << 62
 
 
 def to_millionths(weight) -> int:
-    """Positive weight (votes) as an exact integer count of millionths."""
+    """Positive weight (votes) as an exact integer count of millionths.
+
+    A ``Fraction`` converts without a float in between, so a stored count
+    ``m`` passes back in exactly as ``Fraction(m, MILLION)``.
+    """
     if isinstance(weight, (bool, np.bool_)):
         raise InvalidValueError("weight must be numeric, not boolean")
     if isinstance(weight, (int, np.integer)):
         m = int(weight) * MILLION
+    elif isinstance(weight, Fraction):
+        m = round(weight * MILLION)
     elif isinstance(weight, (float, np.floating)):
         f = float(weight)
         if not np.isfinite(f):

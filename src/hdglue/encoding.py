@@ -20,9 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Encoding works on groups of flip slices and chunks of rows sized so the
-# widened operand, the gate and the counts each stay near _CHUNK_ENTRIES float32s.
-from ._kernels import _CHUNK_ENTRIES, pack_bits, unpack_bits
+from ._kernels import pack_bits, unpack_bits
 from .errors import (
     DimensionMismatchError,
     InvalidValueError,
@@ -51,8 +49,12 @@ __all__ = [
 
 MIN_LEVELS = 2
 MAX_LEVELS = 1025
-# Vote counts are summed in float32, which holds every integer up to 2**24.
+# Encode keeps its vote counts in integers no wider than int32, which hold
+# every count, doubled, up to 2 * MAX_LENGTH with room to spare.
 MAX_LENGTH = 1 << 24
+# Encoding builds its operand, and encodes a batch, in chunks whose
+# temporaries stay near this many bytes.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,10 @@ class LevelTable:
 
 
 def _quantize_array(values: np.ndarray, num_levels: int) -> np.ndarray:
+    """int16 level indices; MAX_LEVELS fits."""
     # Half-up rounding: floor(x + 0.5), not round-half-even.
     pos = (np.tanh(values) + 1.0) / 2.0 * (num_levels - 1)
-    idx = np.floor(pos + 0.5).astype(np.int64)
+    idx = np.floor(pos + 0.5).astype(np.int16)
     return np.clip(idx, 0, num_levels - 1)
 
 
@@ -242,10 +245,11 @@ class _BoundMajority:
         count[d] = c0[d] + sum_l [q[l] > s(d)] * (1 - 2 * a[l, d])
 
     where ``c0 = sum_l a[l]``, and a bit outside every slice has the
-    constant count c0[d]. The flipped bits of ``a`` are stored bit-packed
-    per slice, each slice padded to one common width, so the sum over l for
-    a group of slices and a chunk of rows is one stacked float32 matmul
-    (slices, rows, length) @ (slices, length, width). The bit is set when
+    constant count c0[d]. Each flipped bit keeps its column ``a[:, d]``
+    packed along the component axis, grouped by slice and padded to the
+    widest slice. A row's gate ``q > s`` packs the same way, so the sum
+    over l is ``popcount(gate) - 2 * popcount(gate & a[:, d])``: AND and
+    popcount, exact in integers. The bit is set when
     ``2 * count + tiebreak > length``: a strict majority, or an exact tie
     that the tiebreak bit settles.
     """
@@ -253,72 +257,90 @@ class _BoundMajority:
     def __init__(self, levels: LevelTable, positions: PositionBasis, tiebreak: Hypervector):
         dim, length = levels.dim, positions.length
         sizes = levels.flip_schedule
-        self.order = levels.flip_order
-        # Slices are near-equal with the larger ones first; every slice is
-        # padded to a whole number of bytes so the operand unpacks flat.
+        order = levels.flip_order
+        # Slices are near-equal with the larger ones first.
         self.n_slices, self.wide = sizes.shape[0], int(sizes[0])
         self.n_wide = int((sizes == self.wide).sum())
-        self.width = -(-self.wide // 8) * 8
-        self.levels_above = np.arange(self.n_slices).reshape(self.n_slices, 1, 1)
+        self.levels_above = np.arange(self.n_slices, dtype=np.int16)[:, None]
+        # A column fills words of the narrowest unsigned type that holds the
+        # whole signal, or uint64 words past 64 components.
+        word_bits = 8
+        while word_bits < min(length, 64):
+            word_bits *= 2
+        self.word = np.dtype(f"uint{word_bits}")
+        self.gate_bits = -(-length // word_bits) * word_bits
+        # Doubled counts reach 2 * length; adding a threshold keeps them in
+        # [-length, 2 * length].
+        self.count_type = next(
+            t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= 2 * length
+        )
 
         low = levels.levels[0].bits()
-        c0 = np.zeros(dim, dtype=np.int64)
-        self.packed = np.empty((self.n_slices, length, self.width // 8), dtype=np.uint8)
-        step = max(1, _CHUNK_ENTRIES // dim)
+        columns = np.zeros((dim, self.gate_bits // 8), dtype=np.uint8)
+        step = word_bits * max(1, _CHUNK_BYTES // (2 * word_bits * dim))
         for lo in range(0, length, step):
-            words = positions.words[lo : lo + step]
-            a = unpack_bits(words, dim)
+            a = unpack_bits(positions.words[lo : lo + step], dim)
             a ^= low
-            c0 += a.sum(axis=0, dtype=np.int64)
-            by_slice = self._by_slice(a[:, self.order]).transpose(1, 0, 2)
-            self.packed[:, lo : lo + step] = np.packbits(by_slice, axis=2)
+            packed = np.packbits(np.ascontiguousarray(a.T), axis=1, bitorder="little")
+            columns[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
+        columns = columns.view(self.word)
+        c0 = np.bitwise_count(columns).sum(axis=1, dtype=np.int64)
+        # (words, slices, width): each word of every slice's columns.
+        self.packed = self._by_slice(columns[order].T)
 
         tb = tiebreak.bits().astype(np.int64)
-        # With swing = sum_l [q[l] > s] * (1 - 2 a[l]), a flipped bit is set
-        # iff the integer swing exceeds floor((length - tb - 2 c0) / 2).
-        threshold = (length - tb[self.order] - 2 * c0[self.order]) // 2
-        self.threshold = self._by_slice(threshold.astype(np.float32))
-        # Every output bit outside the slices, word padding included, is constant.
-        self.base_bits = np.zeros(num_words(dim) * 64, dtype=np.uint8)
-        self.base_bits[:dim] = 2 * c0 + tb > length
+        # With swing = popcount(gate) - 2 * popcount(gate & a), a flipped bit
+        # is set iff the integer swing exceeds floor((length - tb - 2 c0) / 2).
+        threshold = (length - tb[order] - 2 * c0[order]) // 2
+        self.threshold = self._by_slice(threshold.astype(self.count_type))
+        # Output bit d reads slot gather[d] of a row's (slices * width) slots;
+        # every bit outside the slices, word padding included, is constant.
+        n_bits = num_words(dim) * 64
+        self.gather = np.zeros(n_bits, dtype=np.intp)
+        self.gather[order] = np.flatnonzero(self._by_slice(np.ones(order.shape[0], dtype=bool)))
+        flipped = np.zeros(n_bits, dtype=bool)
+        flipped[order] = True
+        base = np.zeros(n_bits, dtype=bool)
+        base[:dim] = 2 * c0 + tb > length
+        base &= ~flipped
+        self.flip_mask = pack_bits(flipped, n_bits // 64)
+        self.base_words = pack_bits(base, n_bits // 64)
 
     def _by_slice(self, x: np.ndarray) -> np.ndarray:
         """(rows, flipped) values in flip order as (rows, slices, width), padding zeroed."""
-        out = np.zeros(x.shape[:-1] + (self.n_slices, self.width), dtype=x.dtype)
+        out = np.zeros(x.shape[:-1] + (self.n_slices, self.wide), dtype=x.dtype)
         split = self.n_wide * self.wide
-        wide = out[..., : self.n_wide, : self.wide]
+        wide = out[..., : self.n_wide, :]
         wide[...] = x[..., :split].reshape(wide.shape)
         narrow = out[..., self.n_wide :, : self.wide - 1]
         narrow[...] = x[..., split:].reshape(narrow.shape)
         return out
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
-        """(n, words) uint64 majority words for an (n, length) level matrix."""
+        """(n, words) uint64 majority words for an (n, length) int16 level matrix."""
         n, length = q.shape
-        n_words = self.base_bits.shape[0] // 64
-        out = np.empty((n, n_words), dtype=np.uint64)
-        n_groups = -(-self.n_slices * length * self.width // _CHUNK_ENTRIES)
-        group = -(-self.n_slices // n_groups)
-        step = max(1, _CHUNK_ENTRIES // (group * (length + self.width)))
-        split = self.n_wide * self.wide
+        n_slots = self.n_slices * self.wide
+        row_bytes = (
+            self.n_slices * self.gate_bits  # gate
+            + self.packed.size * (self.word.itemsize + 1)  # AND words, their popcounts
+            + n_slots * (np.dtype(self.count_type).itemsize + 1)  # counts, slots
+            + self.gather.shape[0]  # output bits
+        )
+        step = max(1, _CHUNK_BYTES // row_bytes)
+        out = np.empty((n, self.flip_mask.shape[0]), dtype=np.uint64)
+        # Gate bits past the signal's length stay clear.
+        gate = np.zeros((min(n, step), self.n_slices, self.gate_bits), dtype=bool)
         for lo in range(0, n, step):
             chunk = q[lo : lo + step]
             rows = chunk.shape[0]
-            slots = np.empty((rows, self.n_slices, self.width), dtype=bool)
-            for s in range(0, self.n_slices, group):
-                packed = self.packed[s : s + group]
-                a = np.unpackbits(packed.reshape(-1)).reshape(packed.shape[:2] + (self.width,))
-                gate = (chunk > self.levels_above[s : s + group]).astype(np.float32)
-                swing = np.matmul(gate, a.astype(np.float32))
-                swing *= -2.0
-                swing += gate.sum(axis=2, keepdims=True)
-                np.greater(
-                    swing.transpose(1, 0, 2), self.threshold[s : s + group], out=slots[:, s : s + group]
-                )
-            bits = np.empty((rows, self.base_bits.shape[0]), dtype=np.uint8)
-            bits[:] = self.base_bits
-            bits[:, self.order[:split]] = slots[:, : self.n_wide, : self.wide].reshape(rows, -1)
-            bits[:, self.order[split:]] = slots[:, self.n_wide :, : self.wide - 1].reshape(rows, -1)
-            out[lo : lo + rows] = pack_bits(bits, n_words)
+            np.greater(chunk[:, None, :], self.levels_above, out=gate[:rows, :, :length])
+            g = np.packbits(gate[:rows], axis=-1, bitorder="little").view(self.word)
+            g = np.ascontiguousarray(g.transpose(0, 2, 1))  # (rows, words, slices)
+            count = np.bitwise_count(g[..., None] & self.packed).sum(axis=1, dtype=self.count_type)
+            count += count
+            count += self.threshold
+            on = np.bitwise_count(g).sum(axis=1, dtype=self.count_type)
+            slots = np.less(count, on[..., None]).reshape(rows, n_slots)
+            bits = np.packbits(slots.take(self.gather, axis=1), axis=-1, bitorder="little")
+            out[lo : lo + rows] = bits.view(np.uint64) & self.flip_mask | self.base_words
         return out
-

@@ -19,6 +19,8 @@ memory of stubborn examples can sit in front of the consensus.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from . import _kernels
@@ -103,7 +105,7 @@ class GlueModel:
         to its vector at its weight; a member with no vector yet has no term."""
         if member.vector is not None:
             fusion = self._fusion.add if sign > 0 else self._fusion.sub
-            fusion(member.model_id ^ member.vector, member.weight / MILLION)
+            fusion(member.model_id ^ member.vector, Fraction(member.weight, MILLION))
             self._glue_vector = None
 
     def active_names(self) -> list[str]:
@@ -211,7 +213,7 @@ class GlueModel:
                 # votes); ties rebase onto the new composite's context.
                 fold_acc.merge(member.fold_acc)
             else:
-                fold_acc.add(member.vector, member.weight / MILLION)
+                fold_acc.add(member.vector, Fraction(member.weight, MILLION))
         # Every check has passed; nothing was changed before this point.
         self._next_index += 1
         # Heaviest member keeps answering; earliest seat breaks weight ties.

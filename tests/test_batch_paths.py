@@ -39,9 +39,9 @@ SHAPES = [
 
 @pytest.fixture()
 def small_chunks(monkeypatch):
-    """Encode chunks of about ten rows and tally chunks of a few, so every
+    """Encode chunks of one to a few rows and tally chunks of a few, so every
     batch below spans several."""
-    monkeypatch.setattr(encoding, "_CHUNK_ENTRIES", 1 << 11)
+    monkeypatch.setattr(encoding, "_CHUNK_BYTES", 1 << 11)
     monkeypatch.setattr(_kernels, "_CHUNK_ENTRIES", 1 << 12)
 
 

@@ -1,5 +1,7 @@
 """Weighted consensus accumulation: exactness, order freedom, reversibility."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -55,11 +57,15 @@ def test_to_millionths_exact_values():
     assert to_millionths(0.76) == 760_000
     assert to_millionths(2.5) == 2_500_000
     assert to_millionths(0.000001) == 1  # the smallest representable vote
+    # a stored count passes back exactly; through a float it misses by 64
+    m = 4_000_000_000_001_000_001
+    assert to_millionths(Fraction(m, MILLION)) == m
+    assert to_millionths(m / MILLION) != m
 
 
 def test_to_millionths_rejects_junk():
     # weights below half a millionth round to zero and are refused too
-    for bad in (0, -1, 0.0, -0.5, 4e-7, float("nan"), float("inf"), True, "1"):
+    for bad in (0, -1, 0.0, -0.5, 4e-7, float("nan"), float("inf"), True, "1", Fraction(-1)):
         with pytest.raises(InvalidValueError):
             to_millionths(bad)
 

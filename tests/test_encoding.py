@@ -22,6 +22,7 @@ from hdglue import (
     random_hv,
     similarity,
 )
+from hdglue import encoding
 from hdglue.encoding import MAX_LENGTH
 from hdglue.hv import num_words
 
@@ -180,11 +181,11 @@ def test_encode_batch_spanning_chunks_equals_loop():
 
 def reference_encode(enc: SignalEncoder, values) -> Hypervector:
     """Per-bit integer tally of levels[q_l] ^ positions[l]; exact ties take the tiebreak."""
-    terms = np.stack([
-        enc.levels.levels[enc.levels.quantize(x)].bits() ^ position(enc.positions, l).bits()
-        for l, x in enumerate(values)
-    ]).astype(np.int64)
-    counts = terms.sum(axis=0)
+    level_of = {x: enc.levels.quantize(x) for x in set(values)}
+    levels = enc.levels.words[[level_of[x] for x in values]]
+    terms = np.unpackbits((levels ^ enc.positions.words).view(np.uint8), axis=1,
+                          bitorder="little")[:, : enc.dim]
+    counts = terms.sum(axis=0, dtype=np.int64)
     ties = 2 * counts == len(values)
     bits = (2 * counts > len(values)) | (ties & (enc.tiebreak.bits() == 1))
     return Hypervector.from_bits(bits.astype(np.uint8))
@@ -220,6 +221,53 @@ def test_encode_and_batch_match_reference_tally(case):
         expect = reference_encode(enc, row)
         assert enc.encode(row) == expect
         assert np.array_equal(batch[k], expect.words)
+
+
+def extremes_and_noise(length, n_noise, seed):
+    """Every component at the top level, every one at the bottom, then Gaussian rows."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.full(length, 9.0), np.full(length, -9.0),
+                      rng.normal(size=(n_noise, length))])
+
+
+# Signals packed in one uint8, uint16, uint32 or uint64 word, or in several
+# uint64 words, with counts held in int8 up to 63 components and int16 past.
+# At 127 components, half the bits count 64 votes or more.
+@pytest.mark.parametrize("length", [8, 9, 16, 17, 32, 33, 63, 64, 65, 127, 129])
+def test_encode_at_word_and_count_boundaries_matches_reference_tally(length):
+    enc = make_encoder(length=length, dim=577, num_levels=17, seed=length)
+    rows = extremes_and_noise(length, 6, length)
+    batch = enc.encode_batch(rows)
+    for k, row in enumerate(rows):
+        assert np.array_equal(batch[k], reference_encode(enc, row).words)
+
+
+@pytest.mark.parametrize("length", [32, 256])
+def test_batch_spanning_row_chunks_matches_reference_tally(length):
+    enc = make_encoder(length=length, dim=10_000, num_levels=65, seed=length)
+    # A chunk's AND words alone fill the byte budget in fewer rows than this.
+    n = encoding._CHUNK_BYTES // enc._majority.packed.nbytes + 3
+    rows = extremes_and_noise(length, n - 2, length)
+    batch = enc.encode_batch(rows)
+    for k, row in enumerate(rows):
+        assert np.array_equal(batch[k], reference_encode(enc, row).words)
+
+
+def test_long_signal_counts_past_int16_match_reference_tally():
+    # 2 * 40,000 is past int16, so the counts are int32.
+    length = 40_000
+    enc = make_encoder(length=length, dim=64, num_levels=2, seed=11)
+    rng = np.random.default_rng(11)
+    rows = np.vstack([
+        np.full(length, 9.0),
+        np.full(length, -9.0),
+        np.tile([-1.0, 1.0], length // 2),
+        rng.choice([-2.0, -0.5, 0.5, 2.0], size=length),
+    ])
+    batch = enc.encode_batch(rows)
+    assert enc._majority.count_type == np.int32
+    for k, row in enumerate(rows):
+        assert np.array_equal(batch[k], reference_encode(enc, row).words)
 
 
 def test_encode_batch_reports_row_and_component():

@@ -533,6 +533,35 @@ def test_refused_add_leaves_the_glue_byte_identical():
     assert model_to_bytes(glue) == model_to_bytes(clean)
 
 
+def test_fusion_total_is_the_sum_of_active_member_weights():
+    # 4e12 votes is 4e18 millionths: exact as an int, a millionth off through a float.
+    dim = 512
+    specs = specialist_specs(0, n_models=3, n_classes=6)
+    registry = ClassRegistry(0, dim)
+    members = [train_member(s, registry, dim, n_train=10) for s in specs]
+    heavy = 4_000_000_000_001
+    glue = GlueModel(registry, seed=0)
+
+    def check():
+        active = sum(m.weight for m in glue.members.values() if m.active)
+        assert glue._fusion.total_weight == active
+        loaded = model_from_bytes(model_to_bytes(glue))
+        assert loaded._fusion.total_weight == active
+
+    glue.add_model(members[0], weight=heavy)
+    glue.add_model(members[1], weight=3)
+    glue.add_model(members[2], weight=2.5)
+    assert glue.member("m0").weight == heavy * 1_000_000
+    check()
+    glue.remove_model("m0")
+    check()
+    glue.add_model(members[0], weight=heavy, name="m0")
+    check()
+    glue.compress(["m0", "m1"], heavy + 2, name="duo")
+    check()
+    assert glue.member("duo").fold_acc.total_weight == (heavy + 3) * 1_000_000
+
+
 def test_digest_tells_apart_folds_that_read_out_alike():
     # Folding m0 and m1 at weights 1 and at 3 reads out one composite
     # vector, but the fold tallies differ, and so does the next fold.
