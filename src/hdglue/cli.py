@@ -1,15 +1,16 @@
 """Command line front end.
 
 Every subcommand resolves its configuration up front, runs, and writes one
-metrics JSON whose only nondeterministic field is wall_time_ms; re-running
-the embedded config reproduces every other number. Output files are
-written atomically. Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+metrics JSON whose only nondeterministic fields are wall_time_ms and the
+per-stage timings_ms; re-running the embedded config reproduces every other
+number. Output files are written atomically. Exit codes: 0 success, 1
+runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -37,11 +38,12 @@ from .errors import DataFormatError, HDGlueError, InvalidValueError
 from .glue import ErrorFleet, GlueModel, fleet_correct
 from .hil import ClassRegistry, HILModel
 from .online import (
+    Evaluate,
     OnlineConfig,
+    OnlineSession,
     history_table_csv,
     schedule_from_json,
     schedule_to_json,
-    session_run,
     staged_schedule,
 )
 
@@ -71,14 +73,52 @@ def _save_dataset(ds: EmbeddingDataset, path: str) -> None:
         save_dataset_binary(ds, path)
 
 
-def _write_metrics(path: str, command: str, config: dict, body: dict, t0: float) -> None:
+class _Stopwatch:
+    """Wall time since the run started, and per stage: ``with watch("encode"): ...``.
+
+    Stages: load (read or generate inputs), encode (signals to hypervectors
+    outside a training or prediction call), train, score, combine (the glue's
+    weighted sum) and save. Every stage is reported, 0 where a run has none.
+    """
+
+    STAGES = ("load", "encode", "train", "score", "combine", "save")
+
+    def __init__(self):
+        self.start = time.perf_counter()
+        self.ms = dict.fromkeys(self.STAGES, 0.0)
+
+    @contextlib.contextmanager
+    def __call__(self, stage: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.ms[stage] += (time.perf_counter() - t0) * 1000.0
+
+
+def _write_metrics(path: str, command: str, config: dict, body: dict,
+                   watch: _Stopwatch) -> None:
     metrics = {
         "command": command,
         "config": dict(config, version=__version__),
         **body,
-        "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
+        "timings_ms": watch.ms,
+        "wall_time_ms": (time.perf_counter() - watch.start) * 1000.0,
     }
     atomic_write_text(path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+
+
+def _train_model(watch: _Stopwatch, ds: EmbeddingDataset, cfg: EncoderConfig,
+                 registry: ClassRegistry) -> HILModel:
+    """A model trained on ``ds``, its encode and its tally timed apart."""
+    if not len(ds):
+        raise InvalidValueError("training needs at least one example")
+    with watch("encode"):
+        model = HILModel(cfg, registry)
+        words = model.encoder.encode_batch(ds.values)
+    with watch("train"):
+        model.update_encoded(words, ds.labels.tolist())
+    return model
 
 
 def _accuracy_report(picks: np.ndarray, labels: np.ndarray) -> dict:
@@ -96,27 +136,29 @@ def _accuracy_report(picks: np.ndarray, labels: np.ndarray) -> dict:
 
 
 def cmd_gen_synth(args) -> int:
-    t0 = time.perf_counter()
-    if args.spec:
-        try:
-            raw = json.loads(_read_text(args.spec))
-        except json.JSONDecodeError as e:
-            raise DataFormatError(f"{args.spec}: bad spec JSON: {e}") from None
-        spec = SyntheticNetworkSpec.from_json_dict(raw)
-    else:
-        spec = default_spec(seed=args.seed, n_classes=args.classes, length=args.length)
-    os.makedirs(args.out, exist_ok=True)
+    watch = _Stopwatch()
+    with watch("load"):
+        if args.spec:
+            try:
+                raw = json.loads(_read_text(args.spec))
+            except json.JSONDecodeError as e:
+                raise DataFormatError(f"{args.spec}: bad spec JSON: {e}") from None
+            spec = SyntheticNetworkSpec.from_json_dict(raw)
+        else:
+            spec = default_spec(seed=args.seed, n_classes=args.classes, length=args.length)
+        train = spec.dataset("train", args.train)
+        test = spec.dataset("test", args.test)
     ext = "csv" if args.csv else "hdge"
-    train = spec.dataset("train", args.train)
-    test = spec.dataset("test", args.test)
     train_path = os.path.join(args.out, f"train.{ext}")
     test_path = os.path.join(args.out, f"test.{ext}")
-    _save_dataset(train, train_path)
-    _save_dataset(test, test_path)
-    atomic_write_text(
-        os.path.join(args.out, "spec.json"),
-        json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    with watch("save"):
+        os.makedirs(args.out, exist_ok=True)
+        _save_dataset(train, train_path)
+        _save_dataset(test, test_path)
+        atomic_write_text(
+            os.path.join(args.out, "spec.json"),
+            json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        )
     config = {
         "seed": args.seed,
         "spec_hash": spec.content_hash(),
@@ -130,18 +172,20 @@ def cmd_gen_synth(args) -> int:
         "files": [train_path, test_path],
     }
     _write_metrics(args.metrics or os.path.join(args.out, "metrics.json"),
-                   "gen-synth", config, body, t0)
+                   "gen-synth", config, body, watch)
     return 0
 
 
 def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    train = _load_dataset(args.data)
+    watch = _Stopwatch()
+    with watch("load"):
+        train = _load_dataset(args.data)
     registry = ClassRegistry(args.registry_seed if args.registry_seed is not None else args.seed,
                              args.dim)
     cfg = EncoderConfig(length=train.length, dim=args.dim, num_levels=args.levels, seed=args.seed)
-    model = HILModel.train(train.values, train.labels.tolist(), cfg, registry)
-    save_model(model, args.out)
+    model = _train_model(watch, train, cfg, registry)
+    with watch("save"):
+        save_model(model, args.out)
     config = {
         "data": args.data,
         "dim": args.dim,
@@ -151,36 +195,47 @@ def cmd_train(args) -> int:
     }
     body = {"classes": model.labels(), "examples": int(sum(model.example_counts.values()))}
     if args.test:
-        test = _load_dataset(args.test)
-        picks, _, _ = model.predict_batch(test.values)
-        body.update(_accuracy_report(picks, test.labels))
-    _write_metrics(args.metrics or args.out + ".metrics.json", "train", config, body, t0)
+        body.update(_test_report(watch, model, args.test))
+    _write_metrics(args.metrics or args.out + ".metrics.json", "train", config, body, watch)
     return 0
 
 
+def _test_report(watch: _Stopwatch, model: HILModel | ErrorFleet, path: str) -> dict:
+    """Accuracy on the dataset at ``path``; a fleet also counts its memory decisions."""
+    fleet = isinstance(model, ErrorFleet)
+    encoder = model.rounds[0].hil.encoder if fleet else model.encoder
+    with watch("load"):
+        test = _load_dataset(path)
+    with watch("encode"):
+        words = encoder.encode_batch(test.values)
+    with watch("score"):
+        out = model.predict_words(words)
+        report = _accuracy_report(out[0], test.labels)
+        if fleet:
+            report["memory_decisions"] = out[1].count("memory")
+    return report
+
+
 def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
-    model = load_model(args.model)
-    test = _load_dataset(args.data)
-    if isinstance(model, HILModel):
-        picks, _, _ = model.predict_batch(test.values)
-    elif isinstance(model, ErrorFleet):
-        picks, _ = model.predict_batch(test.values)
-    else:
+    watch = _Stopwatch()
+    with watch("load"):
+        model = load_model(args.model)
+    if not isinstance(model, (HILModel, ErrorFleet)):
         raise InvalidValueError(
             f"eval expects a single-source model file, got {type(model).__name__}"
         )
+    report = _test_report(watch, model, args.data)
     config = {"model": args.model, "data": args.data}
-    _write_metrics(args.metrics or args.model + ".eval.json",
-                   "eval", config, _accuracy_report(picks, test.labels), t0)
+    _write_metrics(args.metrics or args.model + ".eval.json", "eval", config, report, watch)
     return 0
 
 
 def cmd_glue(args) -> int:
-    t0 = time.perf_counter()
+    watch = _Stopwatch()
     if args.data and len(args.data) != len(args.models):
         raise InvalidValueError("--data must list one dataset per model")
-    models = [load_model(p) for p in args.models]
+    with watch("load"):
+        models = [load_model(p) for p in args.models]
     for p, m in zip(args.models, models):
         if not isinstance(m, HILModel):
             raise InvalidValueError(f"{p} is not a single-source model file")
@@ -190,10 +245,12 @@ def cmd_glue(args) -> int:
         if len(weights) != len(models):
             raise InvalidValueError("--weights must list one weight per model")
     names = [f"m{i}" for i in range(len(models))]
-    glue = GlueModel.build(models, weights=weights, names=names, seed=args.seed)
-    for name in args.drop or []:
-        glue.remove_model(name)
-    save_model(glue, args.out)
+    with watch("train"):
+        glue = GlueModel.build(models, weights=weights, names=names, seed=args.seed)
+        for name in args.drop or []:
+            glue.remove_model(name)
+    with watch("save"):
+        save_model(glue, args.out)
     config = {
         "models": list(args.models),
         "weights": weights,
@@ -202,35 +259,41 @@ def cmd_glue(args) -> int:
     }
     body = {"members": glue.active_names(), "classes": glue.class_labels()}
     if args.data:
-        tests = [_load_dataset(p) for p in args.data]
+        with watch("load"):
+            tests = [_load_dataset(p) for p in args.data]
         labels = tests[0].labels
         for ds in tests[1:]:
             if not np.array_equal(ds.labels, labels):
                 raise InvalidValueError("member datasets disagree on query labels")
         embeddings = {n: ds.values for n, ds in zip(names, tests) if n in glue.active_names()}
-        picks, _, order = glue.predict_batch(embeddings)
-        body.update(_accuracy_report(picks, labels))
-        mnames, morder, sims = glue.member_similarities(embeddings)
-        body["per_member_scores"] = {
-            n: {str(c): float(sims[i, :, j].mean()) for j, c in enumerate(morder)}
-            for i, n in enumerate(mnames)
-        }
-    _write_metrics(args.metrics or args.out + ".metrics.json", "glue", config, body, t0)
+        with watch("score"):
+            mnames, morder, sims = glue.member_similarities(embeddings)
+            body["per_member_scores"] = {
+                n: {str(c): float(sims[i, :, j].mean()) for j, c in enumerate(morder)}
+                for i, n in enumerate(mnames)
+            }
+        with watch("combine"):
+            picks, _ = glue.combine(mnames, morder, sims)
+            body.update(_accuracy_report(picks, labels))
+    _write_metrics(args.metrics or args.out + ".metrics.json", "glue", config, body, watch)
     return 0
 
 
 def cmd_correct(args) -> int:
-    t0 = time.perf_counter()
-    train = _load_dataset(args.data)
+    watch = _Stopwatch()
+    with watch("load"):
+        train = _load_dataset(args.data)
     registry = ClassRegistry(args.registry_seed if args.registry_seed is not None else args.seed,
                              args.dim)
     cfg = EncoderConfig(length=train.length, dim=args.dim, num_levels=args.levels, seed=args.seed)
-    fleet = fleet_correct(
-        train.values, train.labels.tolist(), cfg, registry,
-        max_rounds=args.rounds, residual_memory=args.memory,
-        memory_threshold=args.threshold, glue_seed=args.seed,
-    )
-    save_model(fleet, args.out)
+    with watch("train"):  # fleet_correct encodes its rows itself
+        fleet = fleet_correct(
+            train.values, train.labels.tolist(), cfg, registry,
+            max_rounds=args.rounds, residual_memory=args.memory,
+            memory_threshold=args.threshold, glue_seed=args.seed,
+        )
+    with watch("save"):
+        save_model(fleet, args.out)
     config = {
         "data": args.data,
         "dim": args.dim,
@@ -248,31 +311,35 @@ def cmd_correct(args) -> int:
         "memory_size": len(fleet.memory_labels),
     }
     if args.test:
-        test = _load_dataset(args.test)
-        picks, provenance = fleet.predict_batch(test.values)
-        body.update(_accuracy_report(picks, test.labels))
-        body["memory_decisions"] = sum(1 for p in provenance if p == "memory")
-    _write_metrics(args.metrics or args.out + ".metrics.json", "correct", config, body, t0)
+        body.update(_test_report(watch, fleet, args.test))
+    _write_metrics(args.metrics or args.out + ".metrics.json", "correct", config, body, watch)
     return 0
 
 
 def cmd_online_sim(args) -> int:
-    t0 = time.perf_counter()
-    if args.schedule:
-        schedule = schedule_from_json(_read_text(args.schedule))
-    else:
-        specs = specialist_specs(seed=args.seed, n_models=args.models,
-                                 n_classes=args.models * args.classes_per_stage)
-        schedule = staged_schedule(specs, classes_per_stage=args.classes_per_stage,
-                                   observe_per_class=args.observe)
-    config_obj = OnlineConfig(dim=args.dim, num_levels=args.levels, seed=args.seed,
-                              test_per_class=args.test)
-    session = session_run(schedule, config_obj)
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "schedule.json"), schedule_to_json(schedule) + "\n")
-    atomic_write_text(os.path.join(args.out, "history.csv"), history_table_csv(session.history))
-    if args.snapshot:
-        save_model(session, os.path.join(args.out, "session.hdgm"))
+    watch = _Stopwatch()
+    with watch("load"):
+        if args.schedule:
+            schedule = schedule_from_json(_read_text(args.schedule))
+        else:
+            specs = specialist_specs(seed=args.seed, n_models=args.models,
+                                     n_classes=args.models * args.classes_per_stage)
+            schedule = staged_schedule(specs, classes_per_stage=args.classes_per_stage,
+                                       observe_per_class=args.observe)
+    session = OnlineSession(OnlineConfig(dim=args.dim, num_levels=args.levels, seed=args.seed,
+                                         test_per_class=args.test))
+    for event in schedule:
+        with watch("score" if isinstance(event, Evaluate) else "train"):
+            session.apply(event)
+    with watch("save"):
+        os.makedirs(args.out, exist_ok=True)
+        atomic_write_text(os.path.join(args.out, "schedule.json"),
+                          schedule_to_json(schedule) + "\n")
+        atomic_write_text(os.path.join(args.out, "history.csv"),
+                          history_table_csv(session.history))
+        if args.snapshot:
+            save_model(session, os.path.join(args.out, "session.hdgm"))
+        digest = session.state_digest()  # a hash of the saved container bytes
     config = {
         "dim": args.dim,
         "levels": args.levels,
@@ -284,34 +351,39 @@ def cmd_online_sim(args) -> int:
     body = {
         "history": session.history,
         "final_overall_accuracy": session.history[-1]["overall"] if session.history else None,
-        "state_digest": session.state_digest(),
+        "state_digest": digest,
     }
     _write_metrics(args.metrics or os.path.join(args.out, "metrics.json"),
-                   "online-sim", config, body, t0)
+                   "online-sim", config, body, watch)
     return 0
 
 
 def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
+    watch = _Stopwatch()
     dims = [int(d) for d in args.dims.split(",")] if args.dims else list(DEFAULT_BENCH_DIMS)
-    specs = specialist_specs(seed=args.seed, n_models=args.models)
+    with watch("load"):
+        specs = specialist_specs(seed=args.seed, n_models=args.models)
+        trains = [spec.dataset("train", args.train) for spec in specs]
+        tests = [spec.dataset("test", args.test) for spec in specs]
     n_classes = len(specs[0].classes)
+    labels = tests[0].labels
     results = {}
     for dim in dims:
         registry = ClassRegistry(args.seed, dim)
         members = []
-        for spec in specs:
+        for spec, train in zip(specs, trains):
             cfg = EncoderConfig(length=spec.length, dim=dim, num_levels=args.levels,
                                 seed=spec.seed)
-            train = spec.dataset("train", args.train)
-            members.append(HILModel.train(train.values, train.labels.tolist(), cfg, registry))
-        glue = GlueModel.build(members, seed=args.seed)
+            members.append(_train_model(watch, train, cfg, registry))
+        with watch("train"):
+            glue = GlueModel.build(members, seed=args.seed)
         names = glue.active_names()
-        tests = {n: spec.dataset("test", args.test) for n, spec in zip(names, specs)}
-        labels = tests[names[0]].labels
-        embeddings = {n: ds.values for n, ds in tests.items()}
+        embeddings = {n: ds.values for n, ds in zip(names, tests)}
         t_enc = time.perf_counter()
-        picks, _, _ = glue.predict_batch(embeddings)
+        with watch("score"):
+            mnames, morder, sims = glue.member_similarities(embeddings)
+        with watch("combine"):
+            picks, _ = glue.combine(mnames, morder, sims)
         predict_ms = (time.perf_counter() - t_enc) * 1000.0 / len(labels)
         results[str(dim)] = {
             "overall_accuracy": float((picks == labels).mean()),
@@ -326,7 +398,7 @@ def cmd_bench(args) -> int:
         "test_per_class": args.test,
     }
     _write_metrics(args.metrics or args.out or "bench.json",
-                   "bench", config, {"per_dim": results, "classes": n_classes}, t0)
+                   "bench", config, {"per_dim": results, "classes": n_classes}, watch)
     for dim in dims:
         r = results[str(dim)]
         print(f"dim {dim:>6}: accuracy {r['overall_accuracy']:.4f}  "

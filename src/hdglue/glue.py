@@ -33,7 +33,7 @@ from .errors import (
     UntrainedModelError,
 )
 from .hil import ClassRegistry, HILModel
-from .hv import Hypervector, SeedContext, random_hv
+from .hv import Hypervector, SeedContext, check_words, random_hv
 
 __all__ = ["ErrorFleet", "FleetRound", "GlueMember", "GlueModel", "fleet_correct", "round_weight"]
 
@@ -395,6 +395,13 @@ class ErrorFleet:
         self.memory_threshold = memory_threshold
         self.label_order = label_order
         self._encoder = rounds[0].hil.encoder
+        self._memory_bound = _memory_bound(memory_threshold, self._encoder.dim)
+        # Row r * C + c is round r's classification vector bound to class c's
+        # ID, so one Hamming scan scores every round of a batch.
+        ids = rounds[0].hil.registry.id_words(label_order)
+        vectors = np.stack([r.hil.classification_vector.words for r in rounds])
+        self._refs = (vectors[:, None, :] ^ ids[None, :, :]).reshape(-1, ids.shape[1])
+        self._refs.setflags(write=False)
 
     @property
     def training_accuracy(self) -> float:
@@ -407,21 +414,28 @@ class ErrorFleet:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
-        n = rows.shape[0]
-        q_words = self._encoder.encode_batch(rows)
+        return self.predict_words(self._encoder.encode_batch(rows))
+
+    def predict_words(self, words) -> tuple[np.ndarray, list[str]]:
+        """Same as :meth:`predict_batch` but from an (n, words) uint64 matrix
+        of encoded rows, as :meth:`SignalEncoder.encode_batch` returns."""
+        dim = self._encoder.dim
+        q_words = check_words(words, dim)
+        n = q_words.shape[0]
         picks = np.empty(n, dtype=np.int64)
         provenance = ["memory"] * n
-        hit = np.zeros(n, dtype=bool)
-        if self.memory_labels.size:
-            sims = _kernels.unbind_similarities(q_words, None, self.memory_words,
-                                                self._encoder.dim)
-            best = np.argmax(sims, axis=1)
-            hit = sims[np.arange(n), best] >= self.memory_threshold
-            picks[hit] = self.memory_labels[best[hit]]
+        hit, nearest = _nearest_within(q_words, self.memory_words, self._memory_bound)
+        picks[hit] = self.memory_labels[nearest[hit]]
         rest = np.flatnonzero(~hit)
         if rest.size:
-            id_words = self.rounds[0].hil.registry.id_words(self.label_order)
-            scores, contrib = _consensus_scores(self.rounds, q_words[rest], id_words)
+            sims = _kernels.unbind_similarities(q_words[rest], None, self._refs, dim)
+            sims = sims.reshape(rest.size, len(self.rounds), len(self.label_order))
+            scores = np.zeros((rest.size, len(self.label_order)))
+            contrib = np.empty((len(self.rounds), rest.size))
+            for ri, rnd in enumerate(self.rounds):
+                weighted = _round_score(sims[:, ri], rnd.weight, dim)
+                scores += weighted
+                contrib[ri] = weighted[np.arange(rest.size), np.argmax(sims[:, ri], axis=1)]
             picks[rest] = np.asarray(self.label_order)[np.argmax(scores, axis=1)]
             for i, r in zip(rest.tolist(), np.argmax(contrib, axis=0).tolist()):
                 provenance[i] = f"round{r + 1}"
@@ -439,19 +453,10 @@ class ErrorFleet:
         )
 
 
-def _consensus_scores(rounds, q_words: np.ndarray, id_words: np.ndarray):
-    """Margin-weighted round scores summed (n, C), and each round's weighted
-    score for its own pick (rounds, n)."""
-    scores = np.zeros((q_words.shape[0], id_words.shape[0]))
-    contrib = np.zeros((len(rounds), q_words.shape[0]))
-    for ri, rnd in enumerate(rounds):
-        dim = rnd.hil.config.dim
-        sims = _kernels.unbind_similarities(
-            q_words, rnd.hil.classification_vector.words, id_words, dim)
-        weighted = (rnd.weight / MILLION) * (_top_margin(sims) + 1.0 / dim)[:, None] * sims
-        scores += weighted
-        contrib[ri] = weighted[np.arange(sims.shape[0]), np.argmax(sims, axis=1)]
-    return scores, contrib
+def _round_score(sims: np.ndarray, weight: int, dim: int) -> np.ndarray:
+    """One round's weighted score (n, C): its similarities scaled by its weight
+    (millionths) and each row's top margin plus a one-bit floor."""
+    return (weight / MILLION) * (_top_margin(sims) + 1.0 / dim)[:, None] * sims
 
 
 def _top_margin(sims: np.ndarray) -> np.ndarray:
@@ -460,6 +465,48 @@ def _top_margin(sims: np.ndarray) -> np.ndarray:
         return np.zeros(sims.shape[0])
     part = np.partition(sims, sims.shape[1] - 2, axis=1)
     return part[:, -1] - part[:, -2]
+
+
+def _memory_bound(threshold: float, dim: int) -> int:
+    """Largest Hamming count ``c`` whose similarity ``1.0 - c / dim``, in
+    floats, is at least ``threshold`` (in (0, 1]); the memory hits at or below it."""
+    c = min(dim, int((1.0 - threshold) * dim))
+    # The closed form can land one off either way in floats; step to the edge.
+    while c < dim and 1.0 - (c + 1) / dim >= threshold:
+        c += 1
+    while c > 0 and 1.0 - c / dim < threshold:
+        c -= 1
+    return c
+
+
+# The memory scan first counts over this many leading words of each row
+# (3,072 bits). A prefix count never exceeds the full count, so a query
+# whose prefix counts all pass the bound cannot hit and skips the full scan.
+# At D = 10,000 and threshold 0.95 the bound is 500 bits, and rows that are
+# not near-copies differ on about 22 % of their bits, some 675 of these.
+_PREFIX_WORDS = 48
+
+
+def _nearest_within(queries: np.ndarray, refs: np.ndarray, bound: int):
+    """Whether each query row lies at most ``bound`` bits from some reference
+    row, and if so the first nearest one: ((n,) bool, (n,) int64 index, 0
+    where there is no hit)."""
+    n = queries.shape[0]
+    hit = np.zeros(n, dtype=bool)
+    nearest = np.zeros(n, dtype=np.int64)
+    if not refs.shape[0]:
+        return hit, nearest
+    candidates = np.arange(n)
+    if refs.shape[1] > _PREFIX_WORDS:
+        prefix = _kernels.hamming_matrix(queries[:, :_PREFIX_WORDS], refs[:, :_PREFIX_WORDS])
+        candidates = np.flatnonzero((prefix <= bound).any(axis=1))
+    if candidates.size:
+        counts = _kernels.hamming_matrix(queries[candidates], refs)
+        best = np.argmin(counts, axis=1)
+        near = counts[np.arange(candidates.size), best] <= bound
+        hit[candidates[near]] = True
+        nearest[candidates[near]] = best[near]
+    return hit, nearest
 
 
 def fleet_correct(
@@ -501,6 +548,7 @@ def fleet_correct(
     id_words = registry.id_words(label_order)
 
     rounds: list[FleetRound] = []
+    kept = np.zeros((n_total, len(label_order)))  # the kept rounds' scores, summed in order
     wrong = np.arange(n_total)
     fleet_acc = 0.0
     while len(rounds) < max_rounds and wrong.size:
@@ -508,20 +556,19 @@ def fleet_correct(
         hil = shared if not rounds else HILModel(config, registry, _encoder=shared.encoder)
         hil.update_encoded(q_words[subset], y[subset].tolist())
         sims = _kernels.unbind_similarities(
-            q_words[subset], hil.classification_vector.words, id_words, config.dim)
-        own_picks = np.asarray(label_order)[np.argmax(sims, axis=1)]
+            q_words, hil.classification_vector.words, id_words, config.dim)
+        own_picks = np.asarray(label_order)[np.argmax(sims[subset], axis=1)]
         correct = int((own_picks == y[subset]).sum())
         weight = round_weight(subset.size / n_total, correct / subset.size)
         if weight <= 0:
             break  # the round learned nothing worth a vote
-        candidate = FleetRound(hil, weight, int(subset.size), correct, 0.0)
-        scores, _ = _consensus_scores(rounds + [candidate], q_words, id_words)
+        scores = kept + _round_score(sims, weight, config.dim)
         preds = np.asarray(label_order)[np.argmax(scores, axis=1)]
         acc = float((preds == y).mean())
         if rounds and acc <= fleet_acc:
             break  # discard: the round fails to improve training accuracy
-        candidate.fleet_accuracy = acc
-        rounds.append(candidate)
+        rounds.append(FleetRound(hil, weight, int(subset.size), correct, acc))
+        kept = scores
         fleet_acc = acc
         new_wrong = np.flatnonzero(preds != y)
         if new_wrong.size == 0 or new_wrong.size >= wrong.size:

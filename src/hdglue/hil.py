@@ -26,7 +26,7 @@ from .errors import (
     InvalidValueError,
     UntrainedModelError,
 )
-from .hv import Hypervector, SeedContext, check_dim, check_int, num_words, random_hv, tail_mask
+from .hv import Hypervector, SeedContext, check_dim, check_int, check_words, num_words, random_hv
 
 __all__ = ["ClassRegistry", "HILModel", "probe"]
 
@@ -122,19 +122,10 @@ class HILModel:
     def update_encoded(self, words, labels) -> None:
         """Same as :meth:`update` but from an (n, words) uint64 matrix of
         encoded rows, as :meth:`SignalEncoder.encode_batch` returns."""
-        dim = self.config.dim
-        words = np.asarray(words)
-        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != num_words(dim):
-            raise DimensionMismatchError(
-                f"expected an (n, {num_words(dim)}) uint64 word matrix for dim {dim}, "
-                f"got {words.dtype} of shape {words.shape}"
-            )
+        # Validate every row and label before the first counter moves.
+        words = check_words(words, self.config.dim)
         if words.shape[0] != len(labels):
             raise InvalidValueError(f"{words.shape[0]} rows vs {len(labels)} labels")
-        # Validate every row and label before the first counter moves.
-        past_dim = np.flatnonzero(words[:, -1] & ~tail_mask(dim))
-        if past_dim.size:
-            raise DimensionMismatchError(f"row {past_dim[0]}: bits set past model dim {dim}")
         rows_of: dict[int, list[int]] = {}
         for i, lab in enumerate(labels):
             self.registry.id_for(lab)  # rejects non-integer and negative labels
@@ -204,7 +195,12 @@ class HILModel:
 
     def predict_batch(self, rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """(predicted labels, similarity matrix (n, C), class label order)."""
-        labels, sims = self._score_words(self.encoder.encode_batch(rows))
+        return self.predict_words(self.encoder.encode_batch(rows))
+
+    def predict_words(self, words) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Same as :meth:`predict_batch` but from an (n, words) uint64 matrix
+        of encoded rows, as :meth:`SignalEncoder.encode_batch` returns."""
+        labels, sims = self._score_words(check_words(words, self.config.dim))
         picks = np.asarray(labels, dtype=np.int64)[np.argmax(sims, axis=1)]
         return picks, sims, labels
 

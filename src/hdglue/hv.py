@@ -70,6 +70,22 @@ def num_words(dim: int) -> int:
     return (dim + 63) // 64
 
 
+def check_words(words, dim: int) -> np.ndarray:
+    """``words`` as an (n, words) uint64 matrix of rows of ``dim`` bits, as
+    ``SignalEncoder.encode_batch`` returns; any other shape, or a bit set past
+    ``dim``, raises DimensionMismatchError."""
+    words = np.asarray(words)
+    if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != num_words(dim):
+        raise DimensionMismatchError(
+            f"expected an (n, {num_words(dim)}) uint64 word matrix for dim {dim}, "
+            f"got {words.dtype} of shape {words.shape}"
+        )
+    past_dim = np.flatnonzero(words[:, -1] & ~tail_mask(dim))
+    if past_dim.size:
+        raise DimensionMismatchError(f"row {past_dim[0]}: bits set past dim {dim}")
+    return words
+
+
 def tail_mask(dim: int) -> np.uint64:
     """Mask keeping only the valid bits of the last word."""
     rem = dim % 64

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,7 +58,11 @@ class OnlineConfig:
 
 @dataclass(frozen=True)
 class AddModel:
-    """Seat a new member; ``classes`` lists the labels it introduces."""
+    """Seat a new member; ``classes`` lists the labels it introduces.
+
+    ``weight`` is in votes; one read back from a schedule file is the exact
+    ``Fraction`` of its stored millionths.
+    """
 
     name: str
     spec: SyntheticNetworkSpec
@@ -104,7 +109,7 @@ def event_from_dict(d: dict):
                 name=str(d["name"]),
                 spec=SyntheticNetworkSpec.from_json_dict(d["spec"]),
                 classes=tuple(int(c) for c in d["classes"]),
-                weight=int(d["weight_millionths"]) / MILLION,
+                weight=Fraction(int(d["weight_millionths"]), MILLION),
             )
         if kind == "observe":
             return Observe(per_class=int(d["per_class"]))

@@ -24,6 +24,7 @@ def read_json(path):
 def canon_without_walltime(path):
     doc = read_json(path)
     doc.pop("wall_time_ms")
+    doc.pop("timings_ms")
     return json.dumps(doc, sort_keys=True)
 
 
@@ -207,6 +208,56 @@ def test_bench_emits_one_row_per_dimension(tmp_path):
     for row in metrics["per_dim"].values():
         assert 0.0 <= row["overall_accuracy"] <= 1.0
         assert row["glue_predict_ms_per_query"] > 0.0
+
+
+# -- stage timings -----------------------------------------------------------
+
+
+def stage_timings(path):
+    """A metrics file's stage timings, checked to account for its wall time."""
+    doc = read_json(path)
+    timings = doc["timings_ms"]
+    assert sorted(timings) == ["combine", "encode", "load", "save", "score", "train"]
+    assert min(timings.values()) >= 0.0
+    assert abs(sum(timings.values()) - doc["wall_time_ms"]) <= 0.1 * doc["wall_time_ms"]
+    return {k for k, v in timings.items() if v > 0.0}
+
+
+def test_every_subcommand_reports_stage_timings_that_sum_to_its_wall_time(tmp_path):
+    data = tmp_path / "data"
+    gen(data, train=20, test=10)
+    assert stage_timings(data / "metrics.json") == {"load", "save"}
+
+    models = []
+    for seed in (1, 2):
+        out = tmp_path / f"m{seed}.hdgm"
+        assert run("train", "--data", data / "train.hdge", "--test", data / "test.hdge",
+                   "--out", out, "--seed", seed, "--registry-seed", 0, "--dim", 1000) == 0
+        assert stage_timings(str(out) + ".metrics.json") == {
+            "load", "encode", "train", "score", "save"}
+        models.append(out)
+    fleet = tmp_path / "fleet.hdgm"
+    assert run("correct", "--data", data / "train.hdge", "--test", data / "test.hdge",
+               "--out", fleet, "--dim", 1000, "--memory") == 0
+    assert stage_timings(str(fleet) + ".metrics.json") == {
+        "load", "train", "encode", "score", "save"}
+    for model in (models[0], fleet):
+        assert run("eval", "--model", model, "--data", data / "test.hdge",
+                   "--metrics", tmp_path / "eval.json") == 0
+        assert stage_timings(tmp_path / "eval.json") == {"load", "encode", "score"}
+
+    glue = tmp_path / "glue.hdgm"
+    assert run("glue", "--models", *models, "--data", data / "test.hdge", data / "test.hdge",
+               "--out", glue) == 0
+    assert stage_timings(str(glue) + ".metrics.json") == {
+        "load", "train", "score", "combine", "save"}
+
+    assert run(*online_args(tmp_path / "run")) == 0
+    assert stage_timings(tmp_path / "run" / "metrics.json") == {"load", "train", "score", "save"}
+
+    bench = tmp_path / "bench.json"
+    assert run("bench", "--out", bench, "--dims", "1000", "--train", 10, "--test", 5) == 0
+    assert stage_timings(bench) == {"load", "encode", "train", "score", "combine"}
 
 
 # -- exit discipline ---------------------------------------------------------

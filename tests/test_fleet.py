@@ -9,10 +9,18 @@ from hdglue import (
     HILModel,
     InvalidValueError,
 )
+from hdglue import _kernels
 from hdglue.bundling import MILLION
-from hdglue.data_io import default_spec, two_cluster_spec
-from hdglue.glue import fleet_correct, round_weight
-from hdglue.hv import num_words
+from hdglue.data_io import default_spec, model_to_bytes, two_cluster_spec
+from hdglue.glue import (
+    ErrorFleet,
+    FleetRound,
+    _memory_bound,
+    _nearest_within,
+    fleet_correct,
+    round_weight,
+)
+from hdglue.hv import num_words, tail_mask
 
 DIM = 4096
 
@@ -192,3 +200,217 @@ def test_predict_batch_requires_a_matrix():
     fleet = hard_fleet(max_rounds=1)
     with pytest.raises(InvalidValueError):
         fleet.predict_batch(np.zeros(32))
+
+
+# -- scoring each round once, against the full-rescan reference ---------------
+
+
+def _top_margin(sims):
+    if sims.shape[1] < 2:
+        return np.zeros(sims.shape[0])
+    part = np.partition(sims, sims.shape[1] - 2, axis=1)
+    return part[:, -1] - part[:, -2]
+
+
+def rescored_consensus(rounds, q_words, id_words):
+    """Every round rescored from its own unbind scan: summed weighted scores
+    (n, C) and each round's weighted score for its own pick (rounds, n)."""
+    scores = np.zeros((q_words.shape[0], id_words.shape[0]))
+    contrib = np.zeros((len(rounds), q_words.shape[0]))
+    for ri, rnd in enumerate(rounds):
+        dim = rnd.hil.config.dim
+        sims = _kernels.unbind_similarities(
+            q_words, rnd.hil.classification_vector.words, id_words, dim)
+        weighted = (rnd.weight / MILLION) * (_top_margin(sims) + 1.0 / dim)[:, None] * sims
+        scores += weighted
+        contrib[ri] = weighted[np.arange(sims.shape[0]), np.argmax(sims, axis=1)]
+    return scores, contrib
+
+
+def rescoring_fleet_correct(rows, labels, config, registry, max_rounds):
+    """fleet_correct that rescores every kept round, and the candidate's own
+    subset, from scratch for each candidate; returns the fleet (with residual
+    memory) and why training stopped."""
+    y = np.asarray(labels, dtype=np.int64)
+    n_total = len(y)
+    label_order = sorted(set(y.tolist()))
+    shared = HILModel(config, registry)
+    q_words = shared.encoder.encode_batch(rows)
+    id_words = registry.id_words(label_order)
+    rounds, wrong, fleet_acc, stop = [], np.arange(n_total), 0.0, "round cap"
+    while len(rounds) < max_rounds and wrong.size:
+        subset = wrong
+        hil = shared if not rounds else HILModel(config, registry, _encoder=shared.encoder)
+        hil.update_encoded(q_words[subset], y[subset].tolist())
+        sims = _kernels.unbind_similarities(
+            q_words[subset], hil.classification_vector.words, id_words, config.dim)
+        correct = int((np.asarray(label_order)[np.argmax(sims, axis=1)] == y[subset]).sum())
+        weight = round_weight(subset.size / n_total, correct / subset.size)
+        if weight <= 0:
+            stop = "zero weight"
+            break
+        candidate = FleetRound(hil, weight, int(subset.size), correct, 0.0)
+        scores, _ = rescored_consensus(rounds + [candidate], q_words, id_words)
+        preds = np.asarray(label_order)[np.argmax(scores, axis=1)]
+        acc = float((preds == y).mean())
+        if rounds and acc <= fleet_acc:
+            stop = "discarded"
+            break
+        candidate.fleet_accuracy = acc
+        rounds.append(candidate)
+        fleet_acc = acc
+        new_wrong = np.flatnonzero(preds != y)
+        if new_wrong.size == 0 or new_wrong.size >= wrong.size:
+            wrong = new_wrong
+            stop = "no progress"
+            break
+        wrong = new_wrong
+    fleet = ErrorFleet(rounds, 0, q_words[wrong], y[wrong], 0.95, label_order)
+    return fleet, stop
+
+
+def clustered_task(dim, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    y = np.repeat(np.arange(n_classes), 8)
+    rows = rng.normal(size=(n_classes, 6))[y] + rng.normal(size=(len(y), 6))
+    cfg = EncoderConfig(length=6, dim=dim, num_levels=9, seed=seed)
+    return rows, y.tolist(), cfg, ClassRegistry(seed, dim)
+
+
+@pytest.mark.parametrize("dim, n_classes, seed, max_rounds, stop", [
+    (64, 4, 0, 6, "discarded"),
+    (64, 16, 5, 6, "zero weight"),
+    (128, 4, 2, 2, "round cap"),
+])
+def test_fleet_training_matches_the_rescoring_loop(dim, n_classes, seed, max_rounds, stop):
+    rows, labels, cfg, registry = clustered_task(dim, n_classes, seed)
+    ref, ref_stop = rescoring_fleet_correct(rows, labels, cfg, registry, max_rounds)
+    assert ref_stop == stop
+    fleet = fleet_correct(rows, labels, cfg, registry, max_rounds=max_rounds,
+                          residual_memory=True)
+    assert model_to_bytes(fleet) == model_to_bytes(ref)
+
+
+def test_hard_task_fleet_matches_the_rescoring_loop():
+    _, train, test, cfg, registry = hard_task()
+    ref, _ = rescoring_fleet_correct(train.values, train.labels.tolist(), cfg, registry, 8)
+    fleet = hard_fleet(max_rounds=8, residual_memory=True)
+    assert len(fleet.rounds) > 2
+    assert model_to_bytes(fleet) == model_to_bytes(ref)
+
+
+def test_fleet_predictions_match_rescored_rounds_and_a_full_memory_scan():
+    _, train, test, _, registry = hard_task()
+    fleet = hard_fleet(max_rounds=8, residual_memory=True)
+    dim = fleet.rounds[0].hil.config.dim
+    assert num_words(dim) > 48  # the memory scan prunes on a word prefix here
+    rows = np.vstack([train.values, test.values])
+    q_words = fleet.rounds[0].hil.encoder.encode_batch(rows)
+    hit, nearest = full_memory_scan(q_words, fleet.memory_words, fleet.memory_threshold, dim)
+    scores, contrib = rescored_consensus(
+        fleet.rounds, q_words, registry.id_words(fleet.label_order))
+    expect = np.where(hit, fleet.memory_labels[nearest],
+                      np.asarray(fleet.label_order)[np.argmax(scores, axis=1)])
+    expect_provenance = ["memory" if h else f"round{r + 1}"
+                         for h, r in zip(hit, np.argmax(contrib, axis=0))]
+    picks, provenance = fleet.predict_batch(rows)
+    np.testing.assert_array_equal(picks, expect)
+    assert provenance == expect_provenance
+    assert 0 < hit.sum() < len(rows)
+
+
+# -- exact memory scan ---------------------------------------------------------
+
+
+def full_memory_scan(q_words, memory_words, threshold, dim):
+    """Similarity to every memory row; the first most similar row hits when it
+    reaches ``threshold``. ((n,) bool, (n,) nearest index)."""
+    if not memory_words.shape[0]:
+        return np.zeros(len(q_words), dtype=bool), np.zeros(len(q_words), dtype=np.int64)
+    sims = _kernels.unbind_similarities(q_words, None, memory_words, dim)
+    best = np.argmax(sims, axis=1)
+    return sims[np.arange(len(q_words)), best] >= threshold, best
+
+
+def random_rows(rng, n, dim):
+    words = rng.integers(0, 2**64, size=(n, num_words(dim)), dtype=np.uint64)
+    words[:, -1] &= tail_mask(dim)
+    return words
+
+
+def flipped(row, rng, n_bits, dim, lo=0):
+    """``row`` with ``n_bits`` distinct bits at or past bit ``lo`` flipped."""
+    out = row.copy()
+    for b in rng.choice(np.arange(lo, dim), size=n_bits, replace=False):
+        out[b // 64] ^= np.uint64(1) << np.uint64(b % 64)
+    return out
+
+
+DIMS = (64, 130, 1000, 10_000)
+
+
+def thresholds(dim):
+    return (0.95, 1.0, 0.5, 0.949999, 0.950001) + tuple(1 - k / dim for k in (1, 2, 3, 7))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_memory_bound_is_the_last_count_that_reaches_the_threshold(dim):
+    for threshold in thresholds(dim) + (1e-6, 0.25):
+        expect = max(c for c in range(dim + 1) if 1.0 - c / dim >= threshold)
+        assert _memory_bound(threshold, dim) == expect, threshold
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_memory_scan_hits_exactly_at_the_bound(dim):
+    rng = np.random.default_rng(dim)
+    memory = random_rows(rng, 5, dim)
+    for threshold in thresholds(dim):
+        bound = _memory_bound(threshold, dim)
+        at = np.stack([flipped(memory[j], rng, bound, dim) for j in range(5)])
+        past = np.stack([flipped(memory[j], rng, bound + 1, dim) for j in range(5)])
+        queries = np.vstack([at, past, random_rows(rng, 4, dim)])
+        hit, nearest = _nearest_within(queries, memory, bound)
+        ref_hit, ref_nearest = full_memory_scan(queries, memory, threshold, dim)
+        np.testing.assert_array_equal(hit, ref_hit)
+        np.testing.assert_array_equal(nearest[hit], ref_nearest[hit])
+        if bound < dim // 4:  # no other random row comes that close
+            assert hit[:5].all() and not hit[5:].any(), threshold
+            np.testing.assert_array_equal(nearest[:5], np.arange(5))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_memory_scan_ties_pick_the_first_duplicate(dim):
+    rng = np.random.default_rng(dim + 1)
+    a, b = random_rows(rng, 2, dim)
+    memory = np.stack([b, a, b, a])
+    queries = np.stack([a, b, flipped(a, rng, 2, dim), flipped(b, rng, 2, dim)])
+    hit, nearest = _nearest_within(queries, memory, _memory_bound(0.95, dim))
+    assert hit.all()
+    np.testing.assert_array_equal(nearest, [1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_memory_scan_with_one_row_and_with_none(dim):
+    rng = np.random.default_rng(dim + 2)
+    one = random_rows(rng, 1, dim)
+    queries = np.vstack([one, flipped(one[0], rng, 1, dim)[None, :], random_rows(rng, 3, dim)])
+    for threshold in thresholds(dim):
+        hit, nearest = _nearest_within(queries, one, _memory_bound(threshold, dim))
+        ref_hit, _ = full_memory_scan(queries, one, threshold, dim)
+        np.testing.assert_array_equal(hit, ref_hit)
+        assert hit[0] and not nearest.any()
+        hit, _ = _nearest_within(queries, one[:0], _memory_bound(threshold, dim))
+        assert not hit.any()
+
+
+def test_memory_scan_rechecks_queries_that_only_match_on_the_prefix():
+    dim = 10_000
+    rng = np.random.default_rng(3)
+    memory = random_rows(rng, 3, dim)
+    bound = _memory_bound(0.95, dim)
+    # Equal to a memory row over the first 48 words, far from it past them.
+    far = flipped(memory[1], rng, bound + 1, dim, lo=48 * 64)
+    near = flipped(memory[2], rng, bound, dim, lo=48 * 64)
+    hit, nearest = _nearest_within(np.stack([far, near]), memory, bound)
+    np.testing.assert_array_equal(hit, [False, True])
+    assert nearest[1] == 2

@@ -161,6 +161,19 @@ def test_schedule_json_roundtrip_is_exact():
     assert schedule_to_json(back) == text
 
 
+def test_heavy_member_weight_survives_the_schedule_file_exactly():
+    spec = specialist_specs(0)[0]
+    heavy = 4_000_000_000_001  # votes; past float precision in millionths
+    schedule = [AddModel("m0", spec, classes=spec.classes[:2], weight=heavy),
+                Observe(5), Evaluate()]
+    back = schedule_from_json(schedule_to_json(schedule))
+    assert back[0].weight == heavy
+    live = session_run(schedule, SMALL)
+    replayed = session_run(back, SMALL)
+    assert replayed.glue.member("m0").weight == heavy * 1_000_000
+    assert replayed.state_digest() == live.state_digest()
+
+
 def test_schedule_json_rejects_malformed_documents():
     with pytest.raises(DataFormatError):
         schedule_from_json("{")
