@@ -16,6 +16,9 @@ import numpy as np
 
 # column_counts unpacks rows in chunks of about this many bytes.
 _CHUNK_ENTRIES = 1 << 18
+# hamming_matrix XORs rows in chunks of about this many bytes: small enough
+# for the XOR, its popcounts and their sum to stream through cache.
+_HAMMING_CHUNK_BYTES = 1 << 19
 
 
 def unpack_bits(words: np.ndarray, dim: int) -> np.ndarray:
@@ -61,8 +64,7 @@ def hamming_matrix(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
     """Pairwise hamming counts between row sets of packed words: (n, m) int64."""
     n = a_words.shape[0]
     out = np.empty((n, b_words.shape[0]), dtype=np.int64)
-    # Chunk rows of a so the broadcast XOR stays in cache-friendly sizes.
-    step = max(1, (1 << 22) // max(1, b_words.size * 8))
+    step = max(1, _HAMMING_CHUNK_BYTES // max(1, b_words.size * 8))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         x = a_words[lo:hi, None, :] ^ b_words[None, :, :]

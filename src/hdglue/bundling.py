@@ -76,7 +76,9 @@ class ConsensusAccumulator:
     """Signed per-bit vote tallies in integer millionths.
 
     ``tiebreak_ctx`` addresses the vector consulted wherever a tally is
-    exactly zero, including the freshly constructed empty state.
+    exactly zero, including the freshly constructed empty state. It is
+    drawn on the first :meth:`finalize`, so a tally never read out never
+    draws it.
     """
 
     __slots__ = ("dim", "counters", "total_weight", "term_count", "tiebreak_ctx", "_tiebreak")
@@ -87,7 +89,7 @@ class ConsensusAccumulator:
         self.total_weight = 0
         self.term_count = 0
         self.tiebreak_ctx = tiebreak_ctx
-        self._tiebreak = random_hv(tiebreak_ctx, dim)
+        self._tiebreak: Hypervector | None = None
 
     # -- mutation --------------------------------------------------------
 
@@ -150,6 +152,8 @@ class ConsensusAccumulator:
 
     def finalize(self) -> Hypervector:
         """Majority vote per bit; zero tallies copy the tiebreak bit."""
+        if self._tiebreak is None:
+            self._tiebreak = random_hv(self.tiebreak_ctx, self.dim)
         return Hypervector._wrap(self.dim, _kernels.sign_words(self.counters, self._tiebreak.words))
 
     def __eq__(self, other) -> bool:

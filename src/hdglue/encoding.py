@@ -35,6 +35,7 @@ from .hv import (
     num_words,
     random_hv,
     random_table,
+    random_words,
 )
 
 __all__ = [
@@ -128,16 +129,12 @@ class LevelTable:
         self.flip_schedule.setflags(write=False)
         self.flip_order.setflags(write=False)
 
-        bits = low.bits()
-        n_w = num_words(dim)
-        self.words = np.empty((num_levels, n_w), dtype=np.uint64)
-        self.words[0] = low.words
-        start = 0
-        for i, size in enumerate(sizes):
-            sl = diff[start : start + size]
-            bits[sl] ^= 1
-            start += size
-            self.words[i + 1] = pack_bits(bits, n_w)
+        # Level i + 1 differs from level i in slice i: scatter each slice into
+        # its own row, then XOR the packed rows down the levels onto ``low``.
+        flips = np.zeros((num_levels, num_words(dim) * 64), dtype=np.uint8)
+        flips[np.repeat(np.arange(1, num_levels), self.flip_schedule), diff] = 1
+        self.words = np.bitwise_xor.accumulate(pack_bits(flips, num_words(dim)), axis=0)
+        self.words ^= low.words
         self.words.setflags(write=False)
         self.levels = [Hypervector(dim, self.words[i]) for i in range(num_levels)]
 
@@ -173,9 +170,7 @@ class PositionBasis:
             raise InvalidValueError("position basis needs at least one slot")
         self.dim = dim
         self.length = length
-        self.words = np.empty((length, num_words(dim)), dtype=np.uint64)
-        for i in range(length):
-            self.words[i] = random_hv(replace(ctx, index=i), dim).words
+        self.words = random_words(replace(ctx, index=0), dim, length)
         self.words.setflags(write=False)
 
 

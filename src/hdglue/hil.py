@@ -91,7 +91,7 @@ class HILModel:
         self.registry = registry
         self.encoder = SignalEncoder(config) if _encoder is None else _encoder
         self.class_accumulators: dict[int, ConsensusAccumulator] = {}
-        self.class_bundles: dict[int, Hypervector] = {}
+        self._bundles: dict[int, Hypervector] = {}
         self._fusion = ConsensusAccumulator(
             config.dim, SeedContext(config.seed, "tiebreak-fusion", 0)
         )
@@ -132,16 +132,16 @@ class HILModel:
             rows_of.setdefault(int(lab), []).append(i)
         if not rows_of:
             return
+        # Each trained class's old bundle, taken before its tally moves.
+        old = {lab: self._bundle(lab) for lab in rows_of if lab in self.class_accumulators}
         for lab, idx in rows_of.items():
             self._class_tally(lab).add_words(words[idx], 1)
         # A class's fusion term is its ID bound to its bundle.
         for lab in sorted(rows_of):
             class_id = self.registry.id_for(lab)
-            old = self.class_bundles.get(lab)
-            if old is not None:
-                self._fusion.sub(class_id ^ old, 1)
-            bundle = self.class_accumulators[lab].finalize()
-            self.class_bundles[lab] = bundle
+            if lab in old:
+                self._fusion.sub(class_id ^ old[lab], 1)
+            bundle = self._bundles[lab] = self.class_accumulators[lab].finalize()
             self._fusion.add(class_id ^ bundle, 1)
         self.classification_vector = self._fusion.finalize()
 
@@ -154,14 +154,25 @@ class HILModel:
         return acc
 
     def _restore(self, class_states: dict[int, bytes], fusion_state: bytes) -> None:
-        """Load stored tallies into this untrained model and rebuild its readouts."""
+        """Load stored tallies into this untrained model and read out its
+        classification vector; each class bundle waits for its first reader."""
         for lab, state in class_states.items():
-            acc = self._class_tally(lab)
-            acc.load_state_bytes(state)
-            self.class_bundles[lab] = acc.finalize()
+            self._class_tally(lab).load_state_bytes(state)
         self._fusion.load_state_bytes(fusion_state)
         if class_states:
             self.classification_vector = self._fusion.finalize()
+
+    def _bundle(self, lab: int) -> Hypervector:
+        """Class ``lab``'s bundle, read out of its tally on first use after a load."""
+        bundle = self._bundles.get(lab)
+        if bundle is None:
+            bundle = self._bundles[lab] = self.class_accumulators[lab].finalize()
+        return bundle
+
+    @property
+    def class_bundles(self) -> MappingProxyType:
+        """Each class's bundle, its tally's majority readout."""
+        return MappingProxyType({lab: self._bundle(lab) for lab in self.class_accumulators})
 
     # -- prediction ------------------------------------------------------
 

@@ -108,42 +108,60 @@ class SeedContext:
     index: int = 0
 
 
-def _ctx_prefix(ctx: SeedContext) -> bytes:
+def _keyed_state(ctx: SeedContext):
+    """BLAKE2b-512 state that has absorbed ``ctx``'s prefix, copied for each block."""
     name = ctx.namespace.encode("utf-8")
     # Length-prefixed namespace so ("ab", 1) can never alias ("a", ...) blocks.
-    return (
+    prefix = (
         struct.pack("<Q", ctx.master_seed & _U64_MASK)
         + struct.pack("<H", len(name))
         + name
         + struct.pack("<Q", ctx.index & _U64_MASK)
     )
+    return hashlib.blake2b(prefix, digest_size=_BLOCK_BYTES)
 
 
-def _hash_block(prefix: bytes, block: int) -> bytes:
-    return hashlib.blake2b(prefix + struct.pack("<Q", block), digest_size=_BLOCK_BYTES).digest()
+def _hash_block(state, block: int) -> bytes:
+    """Block ``block`` of a stream, ``blake2b(prefix + u64le(block))``, from
+    its prefix ``state``."""
+    h = state.copy()
+    h.update(struct.pack("<Q", block))
+    return h.digest()
 
 
 def keyed_bytes(ctx: SeedContext, nbytes: int) -> bytes:
     """First ``nbytes`` of the counter-mode stream addressed by ``ctx``."""
-    prefix = _ctx_prefix(ctx)
+    state = _keyed_state(ctx)
     blocks = (nbytes + _BLOCK_BYTES - 1) // _BLOCK_BYTES
-    return b"".join(_hash_block(prefix, b) for b in range(blocks))[:nbytes]
+    return b"".join([_hash_block(state, b) for b in range(blocks)])[:nbytes]
+
+
+def random_words(ctx: SeedContext, dim: int, count: int) -> np.ndarray:
+    """(count, words) uint64 matrix whose row i is ``random_hv`` at index
+    ``ctx.index + i``: the rows' streams joined and read in one go."""
+    n_w = num_words(dim)
+    seed, name = ctx.master_seed, ctx.namespace
+    raw = b"".join([keyed_bytes(SeedContext(seed, name, ctx.index + i), 8 * n_w)
+                    for i in range(count)])
+    words = np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(count, n_w)
+    words[:, -1] &= tail_mask(dim)
+    return words
 
 
 class HashStream:
     """Buffered reader over the counter-mode stream of a seed context."""
 
-    __slots__ = ("_prefix", "_block", "_buf", "_pos")
+    __slots__ = ("_state", "_block", "_buf", "_pos")
 
     def __init__(self, ctx: SeedContext):
-        self._prefix = _ctx_prefix(ctx)
+        self._state = _keyed_state(ctx)
         self._block = 0
         self._buf = b""
         self._pos = 0
 
     def next_u64(self) -> int:
         if self._pos >= len(self._buf):
-            self._buf = _hash_block(self._prefix, self._block)
+            self._buf = _hash_block(self._state, self._block)
             self._block += 1
             self._pos = 0
         v = struct.unpack_from("<Q", self._buf, self._pos)[0]

@@ -281,3 +281,15 @@ def test_fleet_rounds_share_one_encoder_in_training_and_after_loading():
     loaded = model_from_bytes(data)
     assert all(r.hil.encoder is loaded.rounds[0].hil.encoder for r in loaded.rounds)
     assert model_to_bytes(loaded) == data
+
+
+@pytest.mark.parametrize("chunk", [8, 1 << 10, 1 << 19], ids=["one-row", "few-rows", "default"])
+def test_hamming_chunks_give_the_pairwise_counts(monkeypatch, chunk):
+    monkeypatch.setattr(_kernels, "_HAMMING_CHUNK_BYTES", chunk)
+    rng = np.random.default_rng(chunk)
+    for n, m, w in [(0, 3, 2), (1, 1, 1), (37, 5, 3), (300, 20, 16)]:
+        a = rng.integers(0, 2**64, size=(n, w), dtype=np.uint64)
+        b = rng.integers(0, 2**64, size=(m, w), dtype=np.uint64)
+        expect = np.array([[sum(bin(int(x) ^ int(y)).count("1") for x, y in zip(r, s))
+                            for s in b] for r in a], dtype=np.int64).reshape(n, m)
+        assert np.array_equal(_kernels.hamming_matrix(a, b), expect)

@@ -1,5 +1,6 @@
 """Packed hypervector values, seeded generation, XOR/permutation algebra."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -60,6 +61,60 @@ def test_keyed_bytes_deterministic(seed, index):
     assert keyed_bytes(ctx, 100) == keyed_bytes(ctx, 100)
     # a longer read extends the shorter one
     assert keyed_bytes(ctx, 200)[:100] == keyed_bytes(ctx, 100)
+
+
+# The stream as first defined: block b of context (seed, namespace, index)
+# is blake2b(u64 seed, u16 len(name), name, u64 index, u64 b), 64 bytes each.
+STREAM_CONTEXTS = [
+    SeedContext(seed, name, index)
+    for seed in (0, 7, 2**63, 2**64 - 1)
+    for name in ("", "position", "ns-" + "x" * 297)
+    for index in (0, 5, 2**63 + 1)
+]
+
+
+def one_shot_stream(ctx, nbytes):
+    name = ctx.namespace.encode("utf-8")
+    prefix = struct.pack("<QH", ctx.master_seed, len(name)) + name + struct.pack("<Q", ctx.index)
+    blocks = (
+        hashlib.blake2b(prefix + struct.pack("<Q", b), digest_size=64).digest()
+        for b in range(-(-nbytes // 64))
+    )
+    return b"".join(blocks)[:nbytes]
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 63, 64, 65, 1256, 80_000])
+def test_keyed_bytes_is_the_one_shot_stream(nbytes):
+    assert len(STREAM_CONTEXTS[-1].namespace) == 300
+    for ctx in STREAM_CONTEXTS:
+        assert keyed_bytes(ctx, nbytes) == one_shot_stream(ctx, nbytes)
+
+
+def test_hash_stream_reads_the_one_shot_stream():
+    for ctx in STREAM_CONTEXTS:
+        ref = one_shot_stream(ctx, 8 * 150)
+        s = HashStream(ctx)
+        assert [s.next_u64() for _ in range(150)] == list(struct.unpack("<150Q", ref))
+
+
+@pytest.mark.parametrize("bound", [1, 7, 1000, 2**63 + 1, 2**64 - 1])
+def test_hash_stream_below_rejects_like_the_one_shot_stream(bound):
+    # Past 2**63 about half the draws are rejected, so the two walks only
+    # agree if both skip exactly the same words.
+    limit = 2**64 - 2**64 % bound
+    for ctx in STREAM_CONTEXTS[::4]:
+        words = iter(struct.unpack("<1000Q", one_shot_stream(ctx, 8000)))
+        expect = [v % bound for v in words if v < limit][:100]
+        s = HashStream(ctx)
+        assert [s.below(bound) for _ in range(len(expect))] == expect
+
+
+@pytest.mark.parametrize("dim", [64, 130, 1000, 10_000])
+def test_random_hv_is_the_stream_with_its_tail_masked(dim):
+    for ctx in STREAM_CONTEXTS[::3]:
+        raw = np.frombuffer(one_shot_stream(ctx, 8 * num_words(dim)), dtype="<u8").copy()
+        raw[-1] &= tail_mask(dim)
+        assert np.array_equal(random_hv(ctx, dim).words, raw)
 
 
 def test_hash_stream_below_is_in_range():
@@ -223,7 +278,7 @@ def test_random_table_rejects_exactly_the_draws_the_stream_rejects(monkeypatch, 
     # or one under it; a rejected draw forces the sequential fallback.
     first = 2**64 - 2**64 % 7 + offset
     stream = struct.pack("<Q", first) + b"".join(struct.pack("<Q", 3 * k) for k in range(63))
-    monkeypatch.setattr(hv, "_hash_block", lambda prefix, block: stream[64 * block:][:64])
+    monkeypatch.setattr(hv, "_hash_block", lambda state, block: stream[64 * block:][:64])
     ctx = SeedContext(0, "crafted")
     assert np.array_equal(random_table(ctx, 7), _random_table_loop(ctx, 7))
 
