@@ -239,11 +239,9 @@ def cmd_glue(args) -> int:
     for p, m in zip(args.models, models):
         if not isinstance(m, HILModel):
             raise InvalidValueError(f"{p} is not a single-source model file")
-    weights = [1.0] * len(models)
-    if args.weights:
-        weights = [float(w) for w in args.weights.split(",")]
-        if len(weights) != len(models):
-            raise InvalidValueError("--weights must list one weight per model")
+    weights = args.weights or [1.0] * len(models)
+    if len(weights) != len(models):
+        raise InvalidValueError("--weights must list one weight per model")
     names = [f"m{i}" for i in range(len(models))]
     with watch("train"):
         glue = GlueModel.build(models, weights=weights, names=names, seed=args.seed)
@@ -360,7 +358,7 @@ def cmd_online_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     watch = _Stopwatch()
-    dims = [int(d) for d in args.dims.split(",")] if args.dims else list(DEFAULT_BENCH_DIMS)
+    dims = args.dims or list(DEFAULT_BENCH_DIMS)
     with watch("load"):
         specs = specialist_specs(seed=args.seed, n_models=args.models)
         trains = [spec.dataset("train", args.train) for spec in specs]
@@ -409,6 +407,18 @@ def cmd_bench(args) -> int:
 # -- argument plumbing ---------------------------------------------------
 
 
+def _comma_list(convert):
+    """An argparse ``type`` reading a comma-separated list of ``convert`` values;
+    a malformed item is a usage error."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(item) for item in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}") from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdglue",
@@ -453,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="fuse trained models into one consensus model")
     common(p)
     p.add_argument("--models", nargs="+", required=True, help="member model files")
-    p.add_argument("--weights", help="comma-separated member weights")
+    p.add_argument("--weights", type=_comma_list(float), help="comma-separated member weights")
     p.add_argument("--data", nargs="*", help="per-member test datasets, aligned with --models")
     p.add_argument("--drop", action="append", help="remove a member after building (repeatable)")
     p.set_defaults(fn=cmd_glue)
@@ -483,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out_required=False)
     p.add_argument("--levels", type=int, default=65, help="quantization levels")
     p.add_argument("--out", help="metrics JSON path (default: bench.json)")
-    p.add_argument("--dims", help=f"comma-separated dims (default {','.join(map(str, DEFAULT_BENCH_DIMS))})")
+    p.add_argument("--dims", type=_comma_list(int),
+                   help=f"comma-separated dims (default {','.join(map(str, DEFAULT_BENCH_DIMS))})")
     p.add_argument("--models", type=int, default=5)
     p.add_argument("--train", type=int, default=40, help="training examples per class")
     p.add_argument("--test", type=int, default=40, help="test examples per class")

@@ -4,7 +4,9 @@ Two file families live here. Datasets travel as CSV (header
 ``label,e0,...``) or as a compact binary layout; models travel in a single
 container holding a canonical JSON config plus named binary blobs. Both
 are written atomically and round-trip byte for byte, with seed-derived
-vectors regenerated on load instead of stored.
+vectors regenerated on load instead of stored. Each stored fact has one
+copy, and both binary layouts end with a CRC-32 of every byte before it,
+so a corrupted file is refused instead of loaded as a different model.
 
 Synthetic sources model a classifier's penultimate activations: a fixed
 per-class mean pattern plus Gaussian noise whose scale can differ per
@@ -22,6 +24,7 @@ import json
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,9 +32,9 @@ import numpy as np
 from .bundling import MILLION
 from .encoding import EncoderConfig, SignalEncoder
 from .errors import DataFormatError, HDGlueError, InvalidValueError
-from .glue import ErrorFleet, FleetRound, GlueModel
+from .glue import ErrorFleet, FleetRound, GlueModel, round_weight
 from .hil import ClassRegistry, HILModel
-from .hv import HashStream, Hypervector, SeedContext, num_words
+from .hv import HashStream, SeedContext, check_words, num_words
 from .hv import random_hv  # not called here, but perfbench/spans.py patches it here
 
 __all__ = [
@@ -51,7 +54,7 @@ __all__ = [
 
 DATASET_MAGIC = b"HDGE"
 MODEL_MAGIC = b"HDGM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _KIND_CODES = {"hil": 1, "glue": 2, "fleet": 3, "session": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -163,6 +166,33 @@ def load_dataset_csv(path: str) -> EmbeddingDataset:
     return EmbeddingDataset(arr, np.asarray(labels, dtype=np.int64), provenance=path)
 
 
+def _with_crc(parts: list) -> bytes:
+    """``parts`` joined and followed by the CRC-32 trailer every binary file
+    ends with; one join, so the file is built without a second copy."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack("<I", crc)])
+
+
+def _check_file(data: bytes, magic: bytes, header: int, path: str, what: str) -> None:
+    """Refuse anything but a current-version ``what`` file with an intact trailer.
+
+    Magic and version come first, so a file of another version is refused by
+    its version; ``header`` is the byte count of the fixed header.
+    """
+    if len(data) < header + 4 or data[:4] != magic:
+        raise DataFormatError(f"{path}: not a {what} file")
+    (version,) = struct.unpack_from("<H", data, 4)
+    if version != FORMAT_VERSION:
+        raise DataFormatError(
+            f"{path}: format version {version} is not supported; this reader reads "
+            f"version {FORMAT_VERSION} only")
+    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(memoryview(data)[:-4]) != crc:
+        raise DataFormatError(f"{path}: CRC-32 mismatch, the file is corrupted")
+
+
 def save_dataset_binary(ds: EmbeddingDataset, path: str) -> None:
     out = [
         DATASET_MAGIC,
@@ -171,19 +201,15 @@ def save_dataset_binary(ds: EmbeddingDataset, path: str) -> None:
         ds.values.astype("<f4").tobytes(),
         ds.labels.astype("<u4").tobytes(),
     ]
-    atomic_write_bytes(path, b"".join(out))
+    atomic_write_bytes(path, _with_crc(out))
 
 
 def load_dataset_binary(path: str) -> EmbeddingDataset:
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < 14 or data[:4] != DATASET_MAGIC:
-        raise DataFormatError(f"{path}: not a dataset file")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
+    _check_file(data, DATASET_MAGIC, 14, path, "dataset")
     n, d = struct.unpack_from("<II", data, 6)
-    need = 14 + n * d * 4 + n * 4
+    need = 14 + n * d * 4 + n * 4 + 4
     if len(data) != need:
         raise DataFormatError(f"{path}: expected {need} bytes, found {len(data)}")
     values = np.frombuffer(data, dtype="<f4", count=n * d, offset=14).reshape(n, d)
@@ -400,52 +426,36 @@ def _pack_container(kind: str, config: dict, blobs: dict[str, bytes]) -> bytes:
         out.append(nb)
         out.append(struct.pack("<Q", len(blobs[name])))
         out.append(blobs[name])
-    return b"".join(out)
+    return _with_crc(out)
 
 
 def _unpack_container(data: bytes, path: str = "<bytes>"):
-    if len(data) < 11 or data[:4] != MODEL_MAGIC:
-        raise DataFormatError(f"{path}: not a model file")
-    version, code = struct.unpack_from("<HB", data, 4)
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if code not in _KIND_NAMES:
-        raise DataFormatError(f"{path}: unknown model kind {code}")
-    (cfg_len,) = struct.unpack_from("<I", data, 7)
-    pos = 11
-    if pos + cfg_len > len(data):
-        raise DataFormatError(f"{path}: truncated config")
+    """(kind, config, blobs) of a container; each blob is a memoryview into ``data``."""
+    _check_file(data, MODEL_MAGIC, 11, path, "model")
+    kind = _KIND_NAMES.get(data[6])
+    if kind is None:
+        raise DataFormatError(f"{path}: unknown model kind {data[6]}")
+    body = memoryview(data)[:-4]  # the trailer is checked
     try:
-        config = json.loads(data[pos : pos + cfg_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"{path}: bad config: {e}") from None
-    pos += cfg_len
-    if pos + 4 > len(data):
-        raise DataFormatError(f"{path}: truncated blob table")
-    (n_blobs,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    blobs = {}
-    for _ in range(n_blobs):
-        if pos + 2 > len(data):
-            raise DataFormatError(f"{path}: truncated blob name")
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        try:
-            name = data[pos : pos + name_len].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{path}: bad blob name: {e}") from None
-        pos += name_len
-        if pos + 8 > len(data):
-            raise DataFormatError(f"{path}: truncated blob header")
-        (size,) = struct.unpack_from("<Q", data, pos)
-        pos += 8
-        if pos + size > len(data):
-            raise DataFormatError(f"{path}: blob {name!r} truncated")
-        blobs[name] = data[pos : pos + size]
-        pos += size
-    if pos != len(data):
-        raise DataFormatError(f"{path}: {len(data) - pos} trailing bytes")
-    return _KIND_NAMES[code], config, blobs
+        (cfg_len,) = struct.unpack_from("<I", body, 7)
+        pos = 11 + cfg_len
+        config = json.loads(bytes(body[11:pos]).decode("utf-8"))
+        (n_blobs,) = struct.unpack_from("<I", body, pos)
+        pos += 4
+        blobs = {}
+        for _ in range(n_blobs):
+            # A field cut short fails the next unpack or the final length check.
+            (name_len,) = struct.unpack_from("<H", body, pos)
+            name = bytes(body[pos + 2 : pos + 2 + name_len]).decode("utf-8")
+            (size,) = struct.unpack_from("<Q", body, pos + 2 + name_len)
+            pos += 10 + name_len
+            blobs[name] = body[pos : pos + size]
+            pos += size
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataFormatError(f"{path}: malformed container: {e}") from None
+    if pos != len(body):
+        raise DataFormatError(f"{path}: contents end at byte {pos}, the file at {len(body)}")
+    return kind, config, blobs
 
 
 def _encoder_config_dict(cfg: EncoderConfig) -> dict:
@@ -459,57 +469,54 @@ def _encoder_config_from(d: dict) -> EncoderConfig:
     )
 
 
+def _tally_blobs(model: HILModel) -> dict:
+    """A model's tallies: ``acc/{label}`` per class and its ``fusion``."""
+    blobs = {f"acc/{lab}": model.class_accumulators[lab].state_bytes() for lab in model.labels()}
+    blobs["fusion"] = model._fusion.state_bytes()
+    return blobs
+
+
+def _load_tallies(model: HILModel, labels, blobs: dict) -> HILModel:
+    """Load the tallies :func:`_tally_blobs` wrote for ``labels`` into an untrained model."""
+    model._restore({int(lab): blobs[f"acc/{int(lab)}"] for lab in labels}, blobs["fusion"])
+    return model
+
+
 def _hil_state(model: HILModel) -> tuple[dict, dict]:
     config = {
         "encoder": _encoder_config_dict(model.config),
         "registry_seed": model.registry.seed,
         "labels": model.labels(),
-        "example_counts": {str(k): v for k, v in sorted(model.example_counts.items())},
     }
-    blobs = {f"acc/{lab}": model.class_accumulators[lab].state_bytes() for lab in model.labels()}
-    blobs["fusion"] = model._fusion.state_bytes()
-    return config, blobs
+    return config, _tally_blobs(model)
 
 
-def _hil_restore(config: dict, blobs: dict, registry: ClassRegistry | None = None,
-                 encoder: SignalEncoder | None = None) -> HILModel:
-    """Rebuild a model; ``encoder`` is reused when its config matches."""
+def _hil_restore(config: dict, blobs: dict) -> HILModel:
     enc_cfg = _encoder_config_from(config["encoder"])
-    if registry is None:
-        registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
-    if encoder is not None and encoder.config != enc_cfg:
-        encoder = None
-    model = HILModel(enc_cfg, registry, _encoder=encoder)
-    labels = [int(lab) for lab in config["labels"]]
-    model._restore({lab: blobs[f"acc/{lab}"] for lab in labels}, blobs["fusion"])
-    counts = model.example_counts
-    for lab in labels:
-        if int(config["example_counts"][str(lab)]) != counts[lab]:
-            raise DataFormatError(f"class {lab}: example count disagrees with its tally")
-    return model
+    registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
+    return _load_tallies(HILModel(enc_cfg, registry), config["labels"], blobs)
 
 
 def _glue_state(glue: GlueModel) -> tuple[dict, dict]:
     members = []
     blobs = {"fusion": glue._fusion.state_bytes()}
     for name, m in glue.members.items():
-        entry = {
+        if m.hil is not None and m.vector is not m.hil.classification_vector:
+            raise InvalidValueError(
+                f"member {name!r} was trained outside the glue, so its term no longer "
+                f"matches its model; re-seat it with update_member({name!r}, [], []) "
+                f"before saving")
+        members.append({
             "name": name,
             "index": m.index,
             "weight": m.weight,
             "active": m.active,
-            "labels": sorted(m.labels),
             "kind": "fold" if m.hil is None else "hil",
-        }
-        if m.hil is not None:
-            cfg, sub = _hil_state(m.hil)
-            entry["hil"] = cfg
-            for k, v in sub.items():
-                blobs[f"member/{m.index}/{k}"] = v
-        else:
-            entry["encoder"] = _encoder_config_dict(m.encoder.config)
-            blobs[f"member/{m.index}/fold"] = m.fold_acc.state_bytes()
-        members.append(entry)
+            "labels": sorted(m.labels),
+            "encoder": _encoder_config_dict(m.encoder.config),
+        })
+        sub = _tally_blobs(m.hil) if m.hil is not None else {"fold": m.fold_acc.state_bytes()}
+        blobs.update((f"member/{m.index}/{k}", v) for k, v in sub.items())
     config = {
         "seed": glue.seed,
         "dim": glue.dim,
@@ -531,13 +538,16 @@ def _glue_restore(config: dict, blobs: dict) -> GlueModel:
     for entry in config["members"]:
         index = int(entry["index"])
         sub = _sub_blobs(blobs, f"member/{index}/")
+        labels = [int(c) for c in entry["labels"]]
+        enc_cfg = _encoder_config_from(entry["encoder"])
         if entry["kind"] == "hil":
             # A member of another dim fails the registry's dim check.
-            hil, encoder, fold_acc = _hil_restore(entry["hil"], sub, registry), None, None
+            hil = _load_tallies(HILModel(enc_cfg, registry), labels, sub)
+            encoder = fold_acc = None
         else:
-            hil, encoder = None, SignalEncoder(_encoder_config_from(entry["encoder"]))
+            hil, encoder = None, SignalEncoder(enc_cfg)
             fold_acc = glue._fold_tally(index, sub["fold"])
-        glue._seat(entry["name"], index, int(entry["weight"]), [int(c) for c in entry["labels"]],
+        glue._seat(entry["name"], index, int(entry["weight"]), labels,
                    hil, encoder, fold_acc, bool(entry["active"]))
     glue._restore(int(config["next_index"]), blobs["fusion"])
     return glue
@@ -547,55 +557,51 @@ def _fleet_state(fleet: ErrorFleet) -> tuple[dict, dict]:
     rounds = []
     blobs = {}
     for i, rnd in enumerate(fleet.rounds):
-        cfg, sub = _hil_state(rnd.hil)
         rounds.append({
-            "hil": cfg,
-            "weight": rnd.weight,
+            "labels": rnd.hil.labels(),
             "subset_size": rnd.subset_size,
             "correct": rnd.correct,
             "fleet_accuracy_millionths": round(rnd.fleet_accuracy * MILLION),
         })
-        for k, v in sub.items():
-            blobs[f"round/{i}/{k}"] = v
-    dim = fleet.rounds[0].hil.config.dim
-    for j, (words, lab) in enumerate(zip(fleet.memory_words, fleet.memory_labels.tolist())):
-        blobs[f"memory/{j}"] = struct.pack("<q", lab) + Hypervector(dim, words).to_bytes()
+        blobs.update((f"round/{i}/{k}", v) for k, v in _tally_blobs(rnd.hil).items())
+    blobs["memory/words"] = fleet.memory_words.astype("<u8").tobytes()
+    blobs["memory/labels"] = fleet.memory_labels.astype("<i8").tobytes()
+    first = fleet.rounds[0].hil
     config = {
+        "encoder": _encoder_config_dict(first.config),
+        "registry_seed": first.registry.seed,
         "rounds": rounds,
-        "memory_size": len(fleet.memory_labels),
         "memory_threshold_millionths": round(fleet.memory_threshold * MILLION),
-        "label_order": fleet.label_order,
         "glue_seed": fleet.glue_seed,
     }
     return config, blobs
 
 
 def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
-    registry = encoder = None
+    enc_cfg = _encoder_config_from(config["encoder"])
+    registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
+    encoder = SignalEncoder(enc_cfg)
     rounds = []
     for i, entry in enumerate(config["rounds"]):
-        hil = _hil_restore(entry["hil"], _sub_blobs(blobs, f"round/{i}/"), registry, encoder)
-        registry, encoder = hil.registry, hil.encoder
+        hil = _load_tallies(HILModel(enc_cfg, registry, _encoder=encoder), entry["labels"],
+                            _sub_blobs(blobs, f"round/{i}/"))
+        subset, correct = int(entry["subset_size"]), int(entry["correct"])
+        # Round 1 trains on every row, so its subset is the training set.
+        n_total = subset if not rounds else rounds[0].subset_size
         rounds.append(FleetRound(
-            hil, int(entry["weight"]), int(entry["subset_size"]), int(entry["correct"]),
+            hil, round_weight(subset / n_total, correct / subset), subset, correct,
             int(entry["fleet_accuracy_millionths"]) / MILLION,
         ))
     if not rounds:
         raise DataFormatError("fleet file holds no rounds")
-    dim, size = encoder.dim, int(config["memory_size"])
-    words = np.empty((size, num_words(dim)), dtype=np.uint64)
-    labels = np.empty(size, dtype=np.int64)
-    for j in range(size):
-        raw = blobs[f"memory/{j}"]
-        (labels[j],) = struct.unpack_from("<q", raw, 0)
-        q = Hypervector.from_bytes(raw[8:])
-        if q.dim != dim:
-            raise DataFormatError(f"memory row {j} has dim {q.dim}, expected {dim}")
-        words[j] = q.words
+    # A blob that is no whole number of rows fails the reshape.
+    words = np.frombuffer(blobs["memory/words"], dtype="<u8").reshape(-1, num_words(enc_cfg.dim))
+    labels = np.frombuffer(blobs["memory/labels"], dtype="<i8")
+    if len(labels) != len(words):
+        raise DataFormatError(f"memory holds {len(words)} rows but {len(labels)} labels")
     return ErrorFleet(
-        rounds, int(config["glue_seed"]), words, labels,
-        int(config["memory_threshold_millionths"]) / MILLION,
-        [int(c) for c in config["label_order"]],
+        rounds, int(config["glue_seed"]), check_words(words.astype(np.uint64), enc_cfg.dim),
+        labels.astype(np.int64), int(config["memory_threshold_millionths"]) / MILLION,
     )
 
 
@@ -606,15 +612,12 @@ def _session_state(session) -> tuple[dict, dict]:
         "events": session.events_applied,
         "glue": gcfg,
         "history": session.history,
-        "intro_order": session.intro_order,
-        "next_train_id": {str(k): v for k, v in sorted(session.next_train_id.items())},
-        "specs": {name: spec.to_json_dict() for name, spec in sorted(session.specs.items())},
     }
     return config, {f"glue/{k}": v for k, v in gblobs.items()}
 
 
 def _session_restore(config: dict, blobs: dict):
-    from .online import OnlineConfig, OnlineSession
+    from .online import OnlineConfig, OnlineSession, event_from_dict
 
     c = config["config"]
     session = OnlineSession(OnlineConfig(
@@ -622,13 +625,9 @@ def _session_restore(config: dict, blobs: dict):
         seed=int(c["seed"]), test_per_class=int(c["test_per_class"]),
     ))
     session.glue = _glue_restore(config["glue"], _sub_blobs(blobs, "glue/"))
-    session.specs = {
-        name: SyntheticNetworkSpec.from_json_dict(d) for name, d in config["specs"].items()
-    }
-    session.intro_order = [int(x) for x in config["intro_order"]]
-    session.next_train_id = {int(k): int(v) for k, v in config["next_train_id"].items()}
+    for d in config["events"]:
+        session._book(event_from_dict(d))
     session.history = config["history"]
-    session.events_applied = config["events"]
     return session
 
 
@@ -659,7 +658,7 @@ def model_from_bytes(data: bytes, path: str = "<bytes>"):
     except DataFormatError:
         raise
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError,
-            struct.error, HDGlueError) as e:
+            ZeroDivisionError, HDGlueError) as e:
         # A missing field, a field of the wrong JSON type or a short blob.
         raise DataFormatError(f"{path}: malformed {kind} file: {e!r}") from e
 

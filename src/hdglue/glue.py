@@ -382,23 +382,22 @@ class ErrorFleet:
     The memory, rows of ``memory_words`` (M, words) with their
     ``memory_labels`` (M,), answers first for near-exact matches.
     ``glue_seed`` is the seed given to :func:`fleet_correct`, kept for the
-    model file.
+    model file. Round 1 trains on every row, so its labels are the fleet's.
     """
 
-    def __init__(self, rounds, glue_seed, memory_words, memory_labels, memory_threshold,
-                 label_order):
+    def __init__(self, rounds, glue_seed, memory_words, memory_labels, memory_threshold):
         self.rounds = rounds
         self.glue_seed = glue_seed
         self.memory_words = memory_words
         self.memory_labels = memory_labels
         memory_words.setflags(write=False)
         self.memory_threshold = memory_threshold
-        self.label_order = label_order
+        self.label_order = rounds[0].hil.labels()
         self._encoder = rounds[0].hil.encoder
         self._memory_bound = _memory_bound(memory_threshold, self._encoder.dim)
         # Row r * C + c is round r's classification vector bound to class c's
         # ID, so one Hamming scan scores every round of a batch.
-        ids = rounds[0].hil.registry.id_words(label_order)
+        ids = rounds[0].hil.registry.id_words(self.label_order)
         vectors = np.stack([r.hil.classification_vector.words for r in rounds])
         self._refs = (vectors[:, None, :] ^ ids[None, :, :]).reshape(-1, ids.shape[1])
         self._refs.setflags(write=False)
@@ -580,5 +579,4 @@ def fleet_correct(
         raise UntrainedModelError("first corrective round earned zero weight")
 
     memory = wrong if residual_memory else wrong[:0]
-    return ErrorFleet(rounds, glue_seed, q_words[memory], y[memory], memory_threshold,
-                      label_order)
+    return ErrorFleet(rounds, glue_seed, q_words[memory], y[memory], memory_threshold)

@@ -24,7 +24,6 @@ import numpy as np
 
 from ._kernels import pack_bits, unpack_bits
 from .errors import (
-    DataFormatError,
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidValueError,
@@ -183,7 +182,7 @@ class Hypervector:
     """Immutable packed bit vector.
 
     Construct through :func:`random_hv`, :meth:`zero`, :meth:`from_bits`,
-    or :meth:`from_bytes`; the constructor trusts its words and is meant
+    or :meth:`from_words`; the constructor trusts its words and is meant
     for internal use. ``words`` is a read-only uint64 array with every bit
     past ``dim`` zero.
     """
@@ -245,28 +244,6 @@ class Hypervector:
     def bits(self) -> np.ndarray:
         """Unpacked uint8 array of length ``dim`` (a copy)."""
         return unpack_bits(self.words, self.dim)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """32-bit little-endian dim field, then the packed words."""
-        return struct.pack("<I", self.dim) + self.words.astype("<u8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Hypervector":
-        if len(data) < 4:
-            raise DataFormatError("hypervector blob shorter than its header")
-        (dim,) = struct.unpack_from("<I", data, 0)
-        if not MIN_DIM <= dim <= MAX_DIM:
-            raise DataFormatError(f"stored dim {dim} outside [{MIN_DIM}, {MAX_DIM}]")
-        body = data[4:]
-        if len(body) != num_words(dim) * 8:
-            raise DataFormatError(
-                f"hypervector blob for dim {dim} must carry {num_words(dim) * 8} "
-                f"payload bytes, got {len(body)}"
-            )
-        words = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-        return cls.from_words(dim, words)
 
     # -- value semantics -------------------------------------------------
 

@@ -175,6 +175,20 @@ class OnlineSession:
             self._apply_evaluate(event)
         else:
             raise InvalidValueError(f"unknown event type {type(event).__name__}")
+        self._book(event)
+
+    def _book(self, event) -> None:
+        """Log an applied event and keep what later events read: each
+        member's source, the introduced classes and their next training ids.
+        A loaded session rebuilds all of it from its event log."""
+        if isinstance(event, AddModel):
+            self.specs[event.name] = event.spec
+            for c in event.classes:
+                self.intro_order.append(int(c))
+                self.next_train_id[int(c)] = 0
+        elif isinstance(event, Observe):
+            for c in self.intro_order:
+                self.next_train_id[c] += event.per_class
         self.events_applied.append(event_to_dict(event))
 
     def run(self, schedule) -> None:
@@ -197,10 +211,6 @@ class OnlineSession:
         )
         model = HILModel(enc_cfg, self.glue.registry)
         self.glue.add_model(model, weight=event.weight, name=event.name)
-        self.specs[event.name] = event.spec
-        for c in event.classes:
-            self.intro_order.append(int(c))
-            self.next_train_id[int(c)] = 0
         # Held-out sets are pinned at introduction time by the addressing
         # scheme itself: test ids 0..test_per_class-1 never shift.
 
@@ -217,8 +227,6 @@ class OnlineSession:
                 rows.append(spec.batch("train", c, range(start, start + event.per_class)))
                 labels.extend([c] * event.per_class)
             self.glue.update_member(name, np.vstack(rows), labels)
-        for c in self.intro_order:
-            self.next_train_id[c] += event.per_class
 
     def _apply_evaluate(self, event: Evaluate) -> None:
         if not self.intro_order:

@@ -276,6 +276,12 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         run("bench", "--dims", "1000", "--dim", 2000)  # widths come from --dims only
     assert exc.value.code == 2
+    for malformed in (("glue", "--models", "m0.hdgm", "m1.hdgm", "--out", "glue.hdgm",
+                       "--weights", "1,x"),
+                      ("bench", "--dims", "256,abc")):
+        with pytest.raises(SystemExit) as exc:
+            run(*malformed)  # a bad list item is a usage error, not a traceback
+        assert exc.value.code == 2
 
 
 def test_module_errors_exit_one(tmp_path):

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdglue import (
     ClassRegistry,
@@ -213,14 +215,18 @@ def trained_hil(dim=DIM, seed=0):
     return HILModel.train(train.values, train.labels.tolist(), cfg, ClassRegistry(seed, dim))
 
 
-def trained_glue(dim=DIM, seed=0):
-    specs = specialist_specs(seed)
+def trained_glue_members(dim=DIM, seed=0):
     registry = ClassRegistry(seed, dim)
     members = []
-    for spec in specs:
+    for spec in specialist_specs(seed):
         cfg = EncoderConfig(length=spec.length, dim=dim, num_levels=65, seed=spec.seed)
         train = spec.dataset("train", 20)
         members.append(HILModel.train(train.values, train.labels.tolist(), cfg, registry))
+    return members
+
+
+def trained_glue(dim=DIM, seed=0):
+    members = trained_glue_members(dim, seed)
     glue = GlueModel.build(members, weights=[1.0, 2.0, 0.5, 1.0, 1.0], seed=seed)
     glue.remove_model("m2")          # keep an inactive seat in the picture
     glue.compress(["m3", "m4"], 1.5, name="duo")
@@ -318,6 +324,34 @@ def test_loaded_session_keeps_digest():
     loaded = model_from_bytes(model_to_bytes(session))
     assert isinstance(loaded, OnlineSession)
     assert loaded.state_digest() == session.state_digest()
+    # Only the event log is stored; what later events read is rebuilt from it.
+    assert loaded.specs == session.specs
+    assert loaded.intro_order == session.intro_order
+    assert loaded.next_train_id == session.next_train_id
+
+
+def test_fleet_file_stores_its_memory_as_one_matrix():
+    fleet = trained_fleet()
+    _, config, blobs = data_io._unpack_container(model_to_bytes(fleet))
+    assert len(fleet.memory_labels) > 1
+    assert sorted(k for k in blobs if k.startswith("memory")) == ["memory/labels", "memory/words"]
+    assert bytes(blobs["memory/words"]) == fleet.memory_words.astype("<u8").tobytes()
+    assert bytes(blobs["memory/labels"]) == fleet.memory_labels.astype("<i8").tobytes()
+    assert all("weight" not in entry for entry in config["rounds"])  # recomputed on load
+
+
+def test_glue_refuses_to_save_a_member_trained_outside_it():
+    models = trained_glue_members()[:3]
+    glue = GlueModel.build(models)
+    rows = np.random.default_rng(9).normal(0.0, 2.0, size=(4, 32))
+    models[0].update(rows, [0, 1, 2, 3])  # past the glue: its term is now stale
+    with pytest.raises(InvalidValueError, match=r"'m0'.*update_member"):
+        model_to_bytes(glue)
+    glue.update_member("m0", np.empty((0, 32)), [])  # re-seats the term
+    loaded = model_from_bytes(model_to_bytes(glue))
+    glue.remove_model("m0")
+    loaded.remove_model("m0")
+    assert model_to_bytes(loaded) == model_to_bytes(glue)
 
 
 def test_load_draws_each_tiebreak_once(monkeypatch):
@@ -351,22 +385,38 @@ def test_container_rejects_corruption():
         model_from_bytes(blob[:-5])
     with pytest.raises(DataFormatError):
         model_from_bytes(blob + b"junk")
+    at = len(blob) // 2  # deep inside a tally: only the trailer can tell
+    with pytest.raises(DataFormatError, match="CRC-32"):
+        model_from_bytes(blob[:at] + bytes([blob[at] ^ 0x10]) + blob[at + 1 :])
+
+
+def test_version_1_files_are_refused_by_their_version(tmp_path):
+    blob = model_to_bytes(trained_hil())
+    with pytest.raises(DataFormatError, match="version 1 is not supported"):
+        model_from_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+    path = tmp_path / "d.bin"
+    save_dataset_binary(default_spec(0).dataset("train", 2), str(path))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    with pytest.raises(DataFormatError, match="version 1 is not supported"):
+        load_dataset_binary(str(path))
 
 
 def test_container_rejects_undecodable_blob_name():
     blob = model_to_bytes(trained_hil())
     at = blob.index(b"fusion")
-    flipped = blob[:at] + bytes([blob[at] ^ 0x80]) + blob[at + 1 :]
-    with pytest.raises(DataFormatError):
-        model_from_bytes(flipped)
+    flipped = blob[:at] + bytes([blob[at] ^ 0x80]) + blob[at + 1 : -4]
+    with pytest.raises(DataFormatError, match="can't decode"):
+        model_from_bytes(data_io._with_crc([flipped]))  # a fresh trailer: the name check decides
 
 
 def test_container_rejects_mismatched_dimension():
-    blob = model_to_bytes(trained_hil())
-    patched = blob.replace(b'"dim":1024', b'"dim":2048', 1)
-    assert patched != blob
-    with pytest.raises(DataFormatError):
-        model_from_bytes(patched)
+    # Re-packed behind a fresh trailer, so the edit reaches the dim check.
+    kind, config, blobs = _container("hil")
+    config = json.loads(json.dumps(config))
+    config["encoder"]["dim"] = 2 * config["encoder"]["dim"]
+    with pytest.raises(DataFormatError, match="dim"):
+        model_from_bytes(data_io._pack_container(kind, config, blobs))
 
 
 def test_save_model_refuses_unknown_objects(tmp_path):
@@ -380,44 +430,36 @@ def _container(kind):
     return data_io._unpack_container(model_to_bytes(obj))
 
 
-def _with_memory_size(config, blobs, size):
-    assert config["memory_size"] > 0
-    config["memory_size"] = size
-
-
 def _pop_fusion(config, blobs):
     del blobs["fusion"]
 
 
+def _extra_memory_label(config, blobs):
+    assert len(blobs["memory/labels"]) > 0
+    blobs["memory/labels"] = bytes(blobs["memory/labels"]) + bytes(8)
+
+
 def _short_memory_row(config, blobs):
-    assert config["memory_size"] > 0
-    blobs["memory/0"] = b"abc"
+    assert len(blobs["memory/words"]) > 0
+    blobs["memory/words"] = bytes(blobs["memory/words"])[:-3]
 
 
-def _miscount(config, blobs):
-    counts = config["example_counts"]
-    first = sorted(counts)[0]
-    counts[first] += 1
-
-
-# Each edit once leaked the builtin error named with it; the last one
-# loaded without complaint. Now each raises DataFormatError, chained to
-# that builtin error.
+# Each edit is re-packed behind a fresh trailer, so it reaches the restore
+# checks. Each raises DataFormatError, chained to the builtin error named
+# with it; NoneType marks a check that raises DataFormatError itself. The
+# hil edits once leaked their builtin errors.
 MALFORMED = [
     pytest.param("hil", lambda c, b: c.pop("labels"), KeyError, id="hil-no-labels"),
     pytest.param("hil", lambda c, b: c.pop("encoder"), KeyError, id="hil-no-encoder"),
-    pytest.param("hil", lambda c, b: c.pop("example_counts"), KeyError, id="hil-no-counts"),
     pytest.param("hil", lambda c, b: c.pop("registry_seed"), KeyError, id="hil-no-registry"),
     pytest.param("hil", lambda c, b: c.update(labels="ab"), ValueError, id="hil-text-labels"),
     pytest.param("hil", _pop_fusion, KeyError, id="hil-no-fusion"),
     pytest.param("hil", lambda c, b: c.update(registry_seed=float("inf")), OverflowError,
                  id="hil-infinite-seed"),
-    pytest.param("fleet", lambda c, b: _with_memory_size(c, b, c["memory_size"] + 1), KeyError,
-                 id="fleet-memory-overcount"),
-    pytest.param("fleet", _short_memory_row, struct.error, id="fleet-short-memory-row"),
-    pytest.param("session", lambda c, b: c.update(next_train_id=[]), AttributeError,
+    pytest.param("fleet", _extra_memory_label, type(None), id="fleet-memory-overcount"),
+    pytest.param("fleet", _short_memory_row, ValueError, id="fleet-short-memory-row"),
+    pytest.param("session", lambda c, b: c["events"].insert(0, ["observe", 1]), AttributeError,
                  id="session-list-for-object"),
-    pytest.param("hil", _miscount, type(None), id="hil-counts-disagree-with-tally"),
 ]
 
 
@@ -430,3 +472,40 @@ def test_malformed_file_raises_data_format_error(kind, edit, cause):
     with pytest.raises(DataFormatError) as raised:
         model_from_bytes(data)
     assert isinstance(raised.value.__cause__, cause)
+
+
+# -- corruption ------------------------------------------------------------
+
+
+def _mutate(data, blob: bytes) -> bytes:
+    """``blob`` with one bit flipped, one byte overwritten, a tail cut or bytes inserted."""
+    op = data.draw(st.sampled_from(["flip", "overwrite", "truncate", "insert"]))
+    at = data.draw(st.integers(0, len(blob) - (op != "insert")))
+    if op == "flip":
+        return blob[:at] + bytes([blob[at] ^ (1 << data.draw(st.integers(0, 7)))]) + blob[at + 1:]
+    if op == "overwrite":
+        return blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:]
+    if op == "truncate":
+        return blob[:at]
+    return blob[:at] + data.draw(st.binary(min_size=1, max_size=16)) + blob[at:]
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(["hil", "fleet", "session", "dataset"]), data=st.data())
+def test_any_corruption_is_refused_or_changes_nothing(tmp_path_factory, kind, data):
+    path = tmp_path_factory.mktemp("fuzz") / "file"
+    if kind == "dataset":
+        values = np.random.default_rng(3).normal(size=(12, 5))
+        save_dataset_binary(EmbeddingDataset(values, np.arange(12)), str(path))
+        blob = path.read_bytes()
+    else:
+        blob = data_io._pack_container(*_container(kind))  # the saved bytes, as loaded
+    path.write_bytes(_mutate(data, blob))
+    try:
+        if kind == "dataset":
+            save_dataset_binary(load_dataset_binary(str(path)), str(path))
+        else:
+            save_model(load_model(str(path)), str(path))
+    except DataFormatError:
+        return
+    assert path.read_bytes() == blob

@@ -265,7 +265,7 @@ def rescoring_fleet_correct(rows, labels, config, registry, max_rounds):
             stop = "no progress"
             break
         wrong = new_wrong
-    fleet = ErrorFleet(rounds, 0, q_words[wrong], y[wrong], 0.95, label_order)
+    fleet = ErrorFleet(rounds, 0, q_words[wrong], y[wrong], 0.95)
     return fleet, stop
 
 

@@ -180,11 +180,6 @@ def test_from_bits_rejects_bad_input():
         Hypervector.from_bits(np.zeros((2, 64), dtype=np.uint8))
 
 
-def test_bytes_round_trip():
-    v = hv_of(5, dim=1000)
-    assert Hypervector.from_bytes(v.to_bytes()) == v
-
-
 def test_zero_and_complement():
     z = Hypervector.zero(256)
     v = hv_of(2, 256)

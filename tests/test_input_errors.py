@@ -70,8 +70,6 @@ CASES = [
     pytest.param(lambda tmp_path: ConsensusAccumulator(64, SeedContext(0, "t", 0))
                  .load_state_bytes(struct.pack("<IqQ", 5, 0, 0)),
                  id="tally-dim-5-InvalidDimensionError"),
-    pytest.param(lambda tmp_path: Hypervector.from_bytes(struct.pack("<I", 5)),
-                 id="hypervector-dim-5-InvalidDimensionError"),
 ]
 
 
