@@ -134,6 +134,9 @@ class GlueModel:
             if member.hil is not model:
                 raise InvalidValueError(f"member name {name!r} belongs to a different model")
             member.weight = weight
+            if model is not None:  # the model may have trained while removed
+                member.vector = model.classification_vector
+                member.labels = set(model.labels())
             self._term(member, 1)
             member.active = True
             return name
@@ -285,28 +288,32 @@ class GlueModel:
         matrices must agree on the row count. Returns
         (names, labels, sims) with sims shaped (members, rows, classes).
         """
-        picked = self._available(available)
+        def encoded(member):
+            rows = np.asarray(_supplied(embeddings, member.name), dtype=np.float64)
+            if rows.ndim != 2:
+                raise InvalidValueError(f"member {member.name!r}: expected 2-d rows")
+            return member.encoder.encode_batch(rows)
+
+        return self._similarities(self._available(available), encoded)
+
+    def _similarities(self, picked, words_of):
+        """(names, labels, sims) of the ``picked`` members, where
+        ``words_of(member)`` gives a member's checked (n, words) encoded rows.
+        It is called one member at a time, so only one member's rows are held."""
         labels = self.class_labels()
         if not labels:
             raise UntrainedModelError("no classes trained")
         glue_words = self.glue_vector.words
         id_words = self.registry.id_words(labels)
-        n_rows = None
         sims = None
         for mi, member in enumerate(picked):
-            if member.name not in embeddings:
-                raise InvalidValueError(f"no embedding supplied for member {member.name!r}")
-            rows = np.asarray(embeddings[member.name], dtype=np.float64)
-            if rows.ndim != 2:
-                raise InvalidValueError(f"member {member.name!r}: expected 2-d rows")
-            if n_rows is None:
-                n_rows = rows.shape[0]
-                sims = np.empty((len(picked), n_rows, len(labels)))
-            elif rows.shape[0] != n_rows:
+            words = words_of(member)
+            if sims is None:
+                sims = np.empty((len(picked), words.shape[0], len(labels)))
+            elif words.shape[0] != sims.shape[1]:
                 raise InvalidValueError("members disagree on query count")
             sims[mi] = _kernels.unbind_similarities(
-                member.encoder.encode_batch(rows), glue_words ^ member.model_id.words, id_words,
-                self.dim)
+                words, glue_words ^ member.model_id.words, id_words, self.dim)
         names = [m.name for m in picked]
         return names, labels, sims
 
@@ -320,6 +327,16 @@ class GlueModel:
     def predict_batch(self, embeddings, available=None):
         """(predicted labels (n,), scores (n, C), class label order)."""
         names, labels, sims = self.member_similarities(embeddings, available)
+        picks, scores = self.combine(names, labels, sims)
+        return picks, scores, labels
+
+    def predict_words(self, words_by_member, available=None):
+        """Same as :meth:`predict_batch` but from each member's encoded rows:
+        ``words_by_member`` maps name to an (n, words) uint64 matrix, as that
+        member's :meth:`SignalEncoder.encode_batch` returns."""
+        names, labels, sims = self._similarities(
+            self._available(available),
+            lambda member: check_words(_supplied(words_by_member, member.name), self.dim))
         picks, scores = self.combine(names, labels, sims)
         return picks, scores, labels
 
@@ -340,6 +357,13 @@ class GlueModel:
     def __repr__(self):
         n_active = sum(m.active for m in self.members.values())
         return f"GlueModel(dim={self.dim}, members={n_active})"
+
+
+def _supplied(by_member: dict, name: str):
+    """Member ``name``'s entry of a caller's per-member dict."""
+    if name not in by_member:
+        raise InvalidValueError(f"no input supplied for member {name!r}")
+    return by_member[name]
 
 
 def round_weight(coverage: float, accuracy: float) -> int:

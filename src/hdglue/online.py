@@ -163,6 +163,9 @@ class OnlineSession:
         self.next_train_id: dict[int, int] = {}
         self.history: list[dict] = []
         self.events_applied: list[dict] = []
+        # (member name, class) -> (encoder, read-only held-out words). Never
+        # saved: a loaded session refills it on its first Evaluate.
+        self._held_out: dict[tuple[str, int], tuple] = {}
 
     # -- event dispatch --------------------------------------------------
 
@@ -234,20 +237,32 @@ class OnlineSession:
         names = self.glue.active_names()
         per_class = {}
         total_correct = 0
-        ids = range(self.config.test_per_class)
         for c in self.intro_order:
-            embeddings = {n: self.specs[n].batch("test", c, ids) for n in names}
-            picks, _, _ = self.glue.predict_batch(embeddings)
+            picks, _, _ = self.glue.predict_words({n: self._held_out_words(n, c) for n in names})
             correct = int((picks == c).sum())
             per_class[str(c)] = correct / self.config.test_per_class
             total_correct += correct
         self.history.append({
-            "label": event.label or f"eval{sum(1 for e in self.events_applied if e['event'] == 'evaluate') + 1}",
+            "label": event.label or f"eval{len(self.history) + 1}",
             "after_events": len(self.events_applied) + 1,
             "classes": list(self.intro_order),
             "per_class": per_class,
             "overall": total_correct / (len(self.intro_order) * self.config.test_per_class),
         })
+
+    def _held_out_words(self, name: str, c: int) -> np.ndarray:
+        """Member ``name``'s encoding of class ``c``'s held-out rows, made once.
+
+        Test ids never shift and names are never reused, so an entry stays
+        valid while the member answers through the encoder that made it.
+        """
+        encoder = self.glue.member(name).encoder
+        cached = self._held_out.get((name, c))
+        if cached is None or cached[0] is not encoder:
+            words = encoder.encode_batch(
+                self.specs[name].batch("test", c, range(self.config.test_per_class)))
+            cached = self._held_out[name, c] = (encoder, words)
+        return cached[1]
 
     # -- bookkeeping -----------------------------------------------------
 

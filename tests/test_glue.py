@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hdglue import (
     ClassRegistry,
+    DimensionMismatchError,
     EncoderConfig,
     GlueModel,
     HILModel,
@@ -164,6 +165,31 @@ def test_any_remove_readd_walk_that_returns_restores_counters(data):
             removed.add(name)
     for name in sorted(removed):
         glue.add_model(by_name[name], name=name)
+    assert glue.state_digest() == before
+
+
+def test_readd_seats_what_the_model_learned_while_removed():
+    dim = 512
+    specs = specialist_specs(0, n_models=3, n_classes=6)
+    registry = ClassRegistry(0, dim)
+    models = [train_member(s, registry, dim, n_train=10) for s in specs]
+    glue = GlueModel.build(models, seed=0)
+    glue.remove_model("m0")
+    models[0].update(specs[0].batch("train", 4, range(4)), [4] * 4)
+    glue.add_model(models[0], name="m0")
+    assert glue.member("m0").vector == models[0].classification_vector
+    assert 4 in glue.member("m0").labels
+    assert glue.state_digest() == GlueModel.build(models, seed=0).state_digest()
+    loaded = model_from_bytes(model_to_bytes(glue))
+    for g in (glue, loaded):
+        g.remove_model("m0")
+    assert model_to_bytes(loaded) == model_to_bytes(glue)
+    # an untrained model still takes its seat back without a term
+    blank = HILModel(models[0].config, registry)
+    glue.add_model(blank, name="blank")
+    before = glue.state_digest()
+    glue.remove_model("blank")
+    glue.add_model(blank, name="blank")
     assert glue.state_digest() == before
 
 
@@ -345,6 +371,26 @@ def test_member_similarities_shape_and_row_agreement():
     rows["m1"] = rows["m1"][:-1]
     with pytest.raises(InvalidValueError):
         glue.member_similarities(rows)
+
+
+def test_predict_words_equals_predict_batch_on_encoded_rows():
+    specs, _, members = crew(0, dim=1024)
+    glue = GlueModel.build(members, seed=0)
+    rows, _ = union_test_rows(specs, [f"m{i}" for i in range(5)], range(10), n_test=3)
+    words = {n: glue.member(n).encoder.encode_batch(r) for n, r in rows.items()}
+    for available in (None, ["m3", "m0"]):
+        picks, scores, labels = glue.predict_words(words, available)
+        ref_picks, ref_scores, ref_labels = glue.predict_batch(rows, available)
+        np.testing.assert_array_equal(picks, ref_picks)
+        np.testing.assert_array_equal(scores, ref_scores)
+        assert labels == ref_labels
+    with pytest.raises(InvalidValueError):
+        glue.predict_words({n: w for n, w in words.items() if n != "m2"})
+    with pytest.raises(InvalidValueError):
+        glue.predict_words(dict(words, m1=words["m1"][:-1]))
+    for bad in (words["m4"][:, :-1], words["m4"].astype(np.int64)):
+        with pytest.raises(DimensionMismatchError):
+            glue.predict_words(dict(words, m4=bad))
 
 
 # -- held-out behaviour of full crews ----------------------------------------

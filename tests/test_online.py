@@ -127,6 +127,100 @@ def test_first_class_decays_gracefully_as_the_crew_grows():
     assert first[-1] <= first[0]
 
 
+# -- held-out rows, encoded once --------------------------------------------
+
+
+def uncached_history(schedule, config):
+    """The history ``schedule`` should give, with every Evaluate scored by
+    ``predict_batch`` on freshly generated held-out rows."""
+    session = OnlineSession(config)
+    history = []
+    for k, event in enumerate(schedule):
+        if not isinstance(event, Evaluate):
+            session.apply(event)
+            continue
+        ids = range(config.test_per_class)
+        per_class, total = {}, 0
+        for c in session.intro_order:
+            rows = {n: session.specs[n].batch("test", c, ids)
+                    for n in session.glue.active_names()}
+            correct = int((session.glue.predict_batch(rows)[0] == c).sum())
+            per_class[str(c)] = correct / config.test_per_class
+            total += correct
+        evaluations = sum(isinstance(e, Evaluate) for e in schedule[:k + 1])
+        history.append({
+            "label": event.label or f"eval{evaluations}",
+            "after_events": k + 1,
+            "classes": list(session.intro_order),
+            "per_class": per_class,
+            "overall": total / (len(session.intro_order) * config.test_per_class),
+        })
+    return history
+
+
+def mixed_schedule():
+    """Three staged members with repeat and unlabelled Evaluates, one of them
+    while the newest member is still untrained."""
+    specs = specialist_specs(0, n_models=3, n_classes=6)
+    staged = staged_schedule(specs, classes_per_stage=2, observe_per_class=12)
+    return (staged[:3] + [Evaluate()] + staged[3:4] + [Evaluate()] + staged[4:]
+            + [Observe(5), Evaluate(), Evaluate(label="again")])
+
+
+@pytest.mark.parametrize("dim", [130, 1000])
+def test_evaluate_on_stored_words_gives_the_uncached_history(dim):
+    config = OnlineConfig(dim=dim, num_levels=9, seed=1, test_per_class=15)
+    schedule = mixed_schedule()
+    session = session_run(schedule, config)
+    assert session.history == uncached_history(schedule, config)
+    assert [rec["label"] for rec in session.history] == [
+        "stage1", "eval2", "eval3", "stage2", "stage3", "eval6", "again"]
+
+
+@pytest.mark.parametrize("dim", [130, 1000])
+def test_session_loaded_mid_schedule_refills_and_matches_the_live_run(dim):
+    config = OnlineConfig(dim=dim, num_levels=9, seed=1, test_per_class=15)
+    schedule = mixed_schedule()
+    live = OnlineSession(config)
+    for k, event in enumerate(schedule):
+        if k == 7:  # three Evaluates in, two members seated
+            blob = model_to_bytes(live)
+        live.apply(event)
+    resumed = model_from_bytes(blob)
+    resumed.run(schedule[7:])
+    assert resumed.history == live.history
+    assert model_to_bytes(resumed) == model_to_bytes(live)
+    assert resumed.state_digest() == live.state_digest()
+
+
+def test_stored_held_out_words_never_reach_the_container():
+    session = session_run(small_schedule()[:6], SMALL)
+    blob = model_to_bytes(session)
+    glue_blob = model_to_bytes(session.glue)
+    session.apply(Evaluate(label="again"))
+    assert model_to_bytes(session.glue) == glue_blob
+    fresh = model_from_bytes(blob)  # nothing encoded yet
+    fresh.apply(Evaluate(label="again"))
+    assert model_to_bytes(fresh) == model_to_bytes(session)
+
+
+def test_a_seat_answering_through_another_encoder_is_encoded_anew():
+    # A composite folded under a member's name answers through the heaviest
+    # folded member's encoder, so that name's held-out rows encode differently.
+    specs = specialist_specs(0, n_models=2, n_classes=4)
+    schedule = [AddModel("m0", specs[0], classes=(0, 1)),
+                AddModel("m1", specs[1], classes=(2, 3), weight=2.0),
+                Observe(10), Evaluate()]
+    session = session_run(schedule, SMALL)
+    session.glue.compress(["m0", "m1"], 3.0, name="m0")
+    rows = {"m0": np.vstack([specs[0].batch("test", c, range(SMALL.test_per_class))
+                             for c in range(4)])}
+    picks = session.glue.predict_batch(rows)[0].reshape(4, -1)
+    session.apply(Evaluate())
+    assert session.history[1]["per_class"] == {
+        str(c): int((picks[c] == c).sum()) / SMALL.test_per_class for c in range(4)}
+
+
 # -- snapshots ---------------------------------------------------------------
 
 
