@@ -34,7 +34,7 @@ from .encoding import EncoderConfig, SignalEncoder
 from .errors import DataFormatError, HDGlueError, InvalidValueError
 from .glue import ErrorFleet, FleetRound, GlueModel, round_weight
 from .hil import ClassRegistry, HILModel
-from .hv import HashStream, SeedContext, check_words, num_words
+from .hv import _U64_MASK, HashStream, SeedContext, _hash_block, check_int, check_words, num_words
 from .hv import random_hv  # not called here, but perfbench/spans.py patches it here
 
 __all__ = [
@@ -219,6 +219,86 @@ def load_dataset_binary(path: str) -> EmbeddingDataset:
 
 # -- synthetic sources ---------------------------------------------------
 
+# ``np.random.default_rng(seed)`` for a seed below 2**64 is PCG64 seeded by
+# ``SeedSequence(seed).generate_state(4, np.uint64)``. ``_pcg64_states``
+# computes that for many seeds at once. SeedSequence hashes the seed's 32-bit
+# words into a pool of four with ``hashmix(v) = (v ^ h) * h' then v ^= v >> 16``,
+# where ``h`` walks a fixed sequence (``h' = h * mult``) whatever the data, so
+# every call's pair of constants is known up front. An absent high word hashes
+# as the zero that fills the rest of the pool, so one- and two-word seeds share
+# one formula.
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SS_SHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128_MASK = (1 << 128) - 1
+_I64_BOUND = 1 << 63
+# Seeds the one generator ``batch`` makes per call, whose state it then
+# overwrites row by row: a fixed seed only spares reading OS entropy.
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
+
+def _hash_walk(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of SeedSequence's running hash constant."""
+    walk = [init]
+    for _ in range(count - 1):
+        walk.append(walk[-1] * mult & 0xFFFFFFFF)
+    return np.array(walk, dtype=np.uint32)[:, None]
+
+
+_SS_POOL_HASH = _hash_walk(0x43B0D7E5, 0x931E8875, 17)  # 4 fills, then 12 mixes
+_SS_OUT_HASH = _hash_walk(0x8B51F9DD, 0x58F38DED, 9)  # 8 output words
+
+
+def _ss_mix_steps():
+    """Per source word: the xor and multiply constants of the three words it
+    is mixed into; its own row gets zeros and is put back after."""
+    steps, k = [], 4
+    for src in range(4):
+        xor, mul = np.zeros((2, 4, 1), dtype=np.uint32)
+        dst = [d for d in range(4) if d != src]
+        xor[dst], mul[dst] = _SS_POOL_HASH[k:k + 3], _SS_POOL_HASH[k + 1:k + 4]
+        steps.append((src, xor, mul))
+        k += 3
+    return steps
+
+
+_SS_MIX_STEPS = _ss_mix_steps()
+
+
+def _pcg64_states(seeds: np.ndarray) -> list:
+    """``(state, inc)`` of ``np.random.default_rng(s).bit_generator`` for
+    each uint64 seed ``s``, as Python ints."""
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[:2] = seeds.astype("<u8", copy=False).view("<u4").reshape(-1, 2).T
+    pool ^= _SS_POOL_HASH[:4]
+    pool *= _SS_POOL_HASH[1:5]
+    pool ^= pool >> _SS_SHIFT
+    hashed = np.empty_like(pool)
+    for src, xor, mul in _SS_MIX_STEPS:
+        # pool[dst] = mix(pool[dst], hashmix(pool[src])), for every dst != src
+        kept = pool[src].copy()
+        np.bitwise_xor(kept, xor, out=hashed)
+        hashed *= mul
+        hashed ^= hashed >> _SS_SHIFT
+        hashed *= _SS_MIX_R
+        pool *= _SS_MIX_L
+        pool -= hashed
+        pool ^= pool >> _SS_SHIFT
+        pool[src] = kept
+    # generate_state: eight words, each a hash of pool[j % 4], read as four uint64s
+    out = np.empty((2, 4, seeds.size), dtype=np.uint32)
+    np.bitwise_xor(pool, _SS_OUT_HASH[:8].reshape(2, 4, 1), out=out)
+    out *= _SS_OUT_HASH[1:].reshape(2, 4, 1)
+    out ^= out >> _SS_SHIFT
+    words = np.ascontiguousarray(out.reshape(8, -1).T, dtype="<u4").view("<u8")
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in words.tolist():
+        # PCG's srandom: state = 0, inc = seq << 1 | 1, step, add initstate, step
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _U128_MASK
+        state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _U128_MASK
+        states.append((state, inc))
+    return states
+
 
 @dataclass(frozen=True, eq=False)
 class SyntheticNetworkSpec:
@@ -264,17 +344,37 @@ class SyntheticNetworkSpec:
 
     def example(self, split: str, label: int, example_id: int) -> np.ndarray:
         """The one float32 vector addressed by (seed, split, class, id)."""
-        mean = self.mean_for(label)
-        h = hashlib.blake2b(digest_size=8)
-        h.update(struct.pack("<q", self.seed))
-        h.update(split.encode("utf-8") + b"\x00")
-        h.update(struct.pack("<qq", int(label), int(example_id)))
-        rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
-        noise = rng.standard_normal(self.length) * self.sigma_for(label)
-        return (mean + noise).astype(np.float32)
+        return self.batch(split, label, [example_id])[0]
 
     def batch(self, split: str, label: int, ids) -> np.ndarray:
-        return np.stack([self.example(split, label, i) for i in ids])
+        """(len(ids), length) float32 rows of class ``label``, one per example id.
+
+        Row ``i`` is ``mean + sigma * default_rng(seed_i).standard_normal(length)``
+        rounded to float32, where ``seed_i`` is the BLAKE2b-64 hash of
+        (seed, split, label, i). The seeds of all rows are expanded in one
+        pass, then set on one generator in turn.
+        """
+        label = check_int("label", label)
+        mean, sigma = self.mean_for(label), self.sigma_for(label)
+        ids = [check_int("example id", i) for i in ids]
+        if ids and not (-_I64_BOUND <= min(ids) and max(ids) < _I64_BOUND):
+            raise InvalidValueError("example ids must lie in [-2**63, 2**63)")
+        prefix = hashlib.blake2b(digest_size=8)
+        prefix.update(struct.pack("<q", self.seed))
+        prefix.update(split.encode("utf-8") + b"\x00")
+        prefix.update(struct.pack("<q", label))
+        # an id's two's-complement bytes: struct.pack("<q", i) == struct.pack("<Q", i & mask)
+        seeds = b"".join([_hash_block(prefix, i & _U64_MASK) for i in ids])
+        bit_gen = np.random.PCG64(_PLACEHOLDER_SEED)
+        gen = np.random.Generator(bit_gen)
+        noise = np.empty((len(ids), self.length))
+        for row, (state, inc) in zip(noise, _pcg64_states(np.frombuffer(seeds, dtype="<u8"))):
+            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=row)
+        noise *= sigma
+        noise += mean
+        return noise.astype(np.float32)
 
     def dataset(self, split: str, per_class: int, start_id: int = 0) -> EmbeddingDataset:
         """per_class examples of every class, ordered by (class, id)."""

@@ -234,7 +234,8 @@ class OnlineSession:
     def _apply_evaluate(self, event: Evaluate) -> None:
         if not self.intro_order:
             raise InvalidValueError("evaluate before any class was introduced")
-        names = self.glue.active_names()
+        # a seated member with no term yet is never scored: encode nothing for it
+        names = [n for n in self.glue.active_names() if self.glue.member(n).vector is not None]
         per_class = {}
         total_correct = 0
         for c in self.intro_order:

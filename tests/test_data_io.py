@@ -160,6 +160,52 @@ def test_generation_is_deterministic_and_split_separated():
     assert default_spec(8).dataset("train", 10).values.tobytes() != a.values.tobytes()
 
 
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
+def test_vectorised_seeding_equals_default_rng():
+    # A seed below 2**32 is one SeedSequence entropy word, one above it two.
+    seeds = SEED_EDGES + np.random.default_rng(19).integers(
+        0, 2**64, size=300, dtype=np.uint64, endpoint=False).tolist()
+    states = data_io._pcg64_states(np.asarray(seeds, dtype=np.uint64))
+    assert [{"state": s, "inc": inc} for s, inc in states] == [
+        np.random.default_rng(s).bit_generator.state["state"] for s in seeds]
+    assert data_io._pcg64_states(np.zeros(0, dtype=np.uint64)) == []
+
+
+def reference_rows(spec, split, label, ids):
+    """Rows of ``spec.batch`` generated one at a time, each from its own
+    ``default_rng``: the formula every stored history and digest rests on."""
+    rows = []
+    for i in ids:
+        h = hashlib.blake2b(digest_size=8)
+        h.update(struct.pack("<q", spec.seed))
+        h.update(split.encode("utf-8") + b"\x00")
+        h.update(struct.pack("<qq", label, i))
+        rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
+        noise = rng.standard_normal(spec.length) * spec.sigma_for(label)
+        rows.append((spec.mean_for(label) + noise).astype(np.float32))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("spec", [
+    specialist_specs(3)[1],  # sharp and dull classes
+    default_spec(43),
+    two_cluster_spec(5, length=1),
+    two_cluster_spec(6, length=256, noise=0.0),
+    SyntheticNetworkSpec((0, 7), 3, [[0.0, -0.0, 1.5], [-2.0, 0.0, 0.25]], 0.0, (), -9),
+], ids=["specialist", "default", "length-1", "length-256-noiseless", "signed-zero-means"])
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_batch_rows_are_byte_equal_to_per_row_default_rng(spec, split):
+    for label in spec.classes[:4]:
+        for ids in (range(37, 77), [5], [-3, 2**63 - 1, -2**63, 0, 12]):
+            got = spec.batch(split, label, ids)
+            assert got.dtype == np.float32 and got.shape == (len(ids), spec.length)
+            assert got.tobytes() == reference_rows(spec, split, label, ids).tobytes()
+    assert spec.example(split, spec.classes[0], 41).tobytes() == \
+        spec.batch(split, spec.classes[0], [41])[0].tobytes()
+
+
 def test_spec_json_roundtrip_preserves_identity():
     spec = specialist_specs(5)[2]
     back = SyntheticNetworkSpec.from_json_dict(spec.to_json_dict())

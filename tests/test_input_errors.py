@@ -108,3 +108,40 @@ def test_numpy_integer_config_fields_become_plain_ints():
     online = OnlineConfig(dim=np.int64(256), num_levels=np.int8(9), seed=np.uint64(1),
                           test_per_class=np.int64(2))
     assert [type(v) for v in astuple(online)] == [int] * 4
+
+
+BATCH_ID_CASES = [
+    pytest.param([2**63], id="id-2**63-struct.error"),
+    pytest.param([0, 2**64], id="id-2**64-struct.error"),
+    pytest.param([-2**63 - 1], id="id-below-minus-2**63-struct.error"),
+    pytest.param([1.5], id="id-1.5-truncated-to-1"),
+    pytest.param([np.float64(2.0)], id="id-numpy-float-truncated"),
+    pytest.param([True], id="id-True-read-as-1"),
+]
+
+
+@pytest.mark.parametrize("ids", BATCH_ID_CASES)
+def test_synthetic_batch_refuses_ids_it_cannot_address(ids):
+    with pytest.raises(InvalidValueError):
+        default_spec(0).batch("train", 0, ids)
+
+
+@pytest.mark.parametrize("label", [1.0, True], ids=["label-1.0-read-as-1", "label-True"])
+def test_synthetic_batch_refuses_a_non_integer_label(label):
+    with pytest.raises(InvalidValueError, match="must be an integer"):
+        default_spec(0).batch("train", label, [0])
+
+
+def test_synthetic_batch_of_no_ids_is_an_empty_matrix():
+    # np.stack once raised a bare ValueError here
+    spec = default_spec(0)
+    rows = spec.batch("test", 1, [])
+    assert rows.shape == (0, spec.length) and rows.dtype == np.float32
+
+
+def test_synthetic_batch_addresses_negative_ids():
+    spec = default_spec(0)
+    rows = spec.batch("train", 0, [-1, -2**63, 0])
+    assert rows.shape == (3, spec.length)
+    assert len({row.tobytes() for row in rows}) == 3
+    assert rows[0].tobytes() == spec.example("train", 0, -1).tobytes()

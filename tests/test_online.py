@@ -204,6 +204,17 @@ def test_stored_held_out_words_never_reach_the_container():
     assert model_to_bytes(fresh) == model_to_bytes(session)
 
 
+def test_evaluate_encodes_no_held_out_rows_for_an_untrained_member():
+    specs = specialist_specs(0, n_models=2, n_classes=4)
+    schedule = [AddModel("m0", specs[0], classes=(0, 1)), Observe(10),
+                AddModel("m1", specs[1], classes=(2, 3)), Evaluate()]
+    config = OnlineConfig(dim=1000, num_levels=9, seed=1, test_per_class=15)
+    session = session_run(schedule, config)
+    assert session.glue.member("m1").vector is None
+    assert sorted(session._held_out) == [("m0", c) for c in range(4)]
+    assert session.history == uncached_history(schedule, config)
+
+
 def test_a_seat_answering_through_another_encoder_is_encoded_anew():
     # A composite folded under a member's name answers through the heaviest
     # folded member's encoder, so that name's held-out rows encode differently.

@@ -71,3 +71,28 @@ def test_tracer_installs_records_and_restores(spans):
         now = vars(ns)
         assert now.keys() == attrs.keys(), ns
         assert all(now[k] is v for k, v in attrs.items()), ns
+
+
+def test_every_generated_session_row_passes_through_the_counted_batch(spans):
+    # The benchmark counts synthetic rows by wrapping SyntheticNetworkSpec.batch;
+    # a row generated around it would only show as a smaller per-layer count.
+    config = online.OnlineConfig(dim=256, num_levels=9, seed=2, test_per_class=6)
+    specs = data_io.specialist_specs(0, n_models=3, n_classes=6)
+    schedule = online.staged_schedule(specs, classes_per_stage=2, observe_per_class=5)
+    schedule += [online.Observe(3), online.Evaluate()]
+    session = online.OnlineSession(config)
+    observed, held_out = 0, set()
+    tracer = spans.Tracer()
+    with spans.Instrumentation(tracer).active():
+        for event in schedule:
+            trained = [n for n in session.glue.active_names()
+                       if session.glue.member(n).vector is not None]
+            if isinstance(event, online.Observe):
+                observed += (len(session.glue.active_names()) * len(session.intro_order)
+                             * event.per_class)
+            elif isinstance(event, online.Evaluate):
+                held_out.update((n, c) for n in trained for c in session.intro_order)
+            session.apply(event)
+    assert observed and held_out
+    assert tracer.counts["data_io.synthetic.rows"] == (
+        observed + len(held_out) * config.test_per_class)
