@@ -108,6 +108,18 @@ def _write_metrics(path: str, command: str, config: dict, body: dict,
     atomic_write_text(path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
 
 
+def _training_setup(args, watch: _Stopwatch):
+    """What ``train`` and ``correct`` share: the training set, its encoder
+    config, the class registry and the metrics config fields they agree on."""
+    with watch("load"):
+        train = _load_dataset(args.data)
+    registry = ClassRegistry(args.registry_seed if args.registry_seed is not None else args.seed,
+                             args.dim)
+    cfg = EncoderConfig(length=train.length, dim=args.dim, num_levels=args.levels, seed=args.seed)
+    config = {"data": args.data, "dim": args.dim, "levels": args.levels, "seed": args.seed}
+    return train, cfg, registry, config
+
+
 def _train_model(watch: _Stopwatch, ds: EmbeddingDataset, cfg: EncoderConfig,
                  registry: ClassRegistry) -> HILModel:
     """A model trained on ``ds``, its encode and its tally timed apart."""
@@ -133,10 +145,12 @@ def _accuracy_report(picks: np.ndarray, labels: np.ndarray) -> dict:
 
 
 # -- subcommands ---------------------------------------------------------
+#
+# Each takes the parsed arguments and the run's stopwatch, and returns its
+# default metrics path, its config and its metrics body; ``main`` writes them.
 
 
-def cmd_gen_synth(args) -> int:
-    watch = _Stopwatch()
+def cmd_gen_synth(args, watch: _Stopwatch):
     with watch("load"):
         if args.spec:
             try:
@@ -171,33 +185,18 @@ def cmd_gen_synth(args) -> int:
         "test_examples": len(test),
         "files": [train_path, test_path],
     }
-    _write_metrics(args.metrics or os.path.join(args.out, "metrics.json"),
-                   "gen-synth", config, body, watch)
-    return 0
+    return os.path.join(args.out, "metrics.json"), config, body
 
 
-def cmd_train(args) -> int:
-    watch = _Stopwatch()
-    with watch("load"):
-        train = _load_dataset(args.data)
-    registry = ClassRegistry(args.registry_seed if args.registry_seed is not None else args.seed,
-                             args.dim)
-    cfg = EncoderConfig(length=train.length, dim=args.dim, num_levels=args.levels, seed=args.seed)
+def cmd_train(args, watch: _Stopwatch):
+    train, cfg, registry, config = _training_setup(args, watch)
     model = _train_model(watch, train, cfg, registry)
     with watch("save"):
         save_model(model, args.out)
-    config = {
-        "data": args.data,
-        "dim": args.dim,
-        "levels": args.levels,
-        "seed": args.seed,
-        "registry_seed": registry.seed,
-    }
     body = {"classes": model.labels(), "examples": int(sum(model.example_counts.values()))}
     if args.test:
         body.update(_test_report(watch, model, args.test))
-    _write_metrics(args.metrics or args.out + ".metrics.json", "train", config, body, watch)
-    return 0
+    return args.out + ".metrics.json", dict(config, registry_seed=registry.seed), body
 
 
 def _test_report(watch: _Stopwatch, model: HILModel | ErrorFleet, path: str) -> dict:
@@ -216,8 +215,7 @@ def _test_report(watch: _Stopwatch, model: HILModel | ErrorFleet, path: str) -> 
     return report
 
 
-def cmd_eval(args) -> int:
-    watch = _Stopwatch()
+def cmd_eval(args, watch: _Stopwatch):
     with watch("load"):
         model = load_model(args.model)
     if not isinstance(model, (HILModel, ErrorFleet)):
@@ -225,13 +223,10 @@ def cmd_eval(args) -> int:
             f"eval expects a single-source model file, got {type(model).__name__}"
         )
     report = _test_report(watch, model, args.data)
-    config = {"model": args.model, "data": args.data}
-    _write_metrics(args.metrics or args.model + ".eval.json", "eval", config, report, watch)
-    return 0
+    return args.model + ".eval.json", {"model": args.model, "data": args.data}, report
 
 
-def cmd_glue(args) -> int:
-    watch = _Stopwatch()
+def cmd_glue(args, watch: _Stopwatch):
     if args.data and len(args.data) != len(args.models):
         raise InvalidValueError("--data must list one dataset per model")
     with watch("load"):
@@ -273,17 +268,11 @@ def cmd_glue(args) -> int:
         with watch("combine"):
             picks, _ = glue.combine(mnames, morder, sims)
             body.update(_accuracy_report(picks, labels))
-    _write_metrics(args.metrics or args.out + ".metrics.json", "glue", config, body, watch)
-    return 0
+    return args.out + ".metrics.json", config, body
 
 
-def cmd_correct(args) -> int:
-    watch = _Stopwatch()
-    with watch("load"):
-        train = _load_dataset(args.data)
-    registry = ClassRegistry(args.registry_seed if args.registry_seed is not None else args.seed,
-                             args.dim)
-    cfg = EncoderConfig(length=train.length, dim=args.dim, num_levels=args.levels, seed=args.seed)
+def cmd_correct(args, watch: _Stopwatch):
+    train, cfg, registry, config = _training_setup(args, watch)
     with watch("train"):  # fleet_correct encodes its rows itself
         fleet = fleet_correct(
             train.values, train.labels.tolist(), cfg, registry,
@@ -292,15 +281,8 @@ def cmd_correct(args) -> int:
         )
     with watch("save"):
         save_model(fleet, args.out)
-    config = {
-        "data": args.data,
-        "dim": args.dim,
-        "levels": args.levels,
-        "seed": args.seed,
-        "rounds_cap": args.rounds,
-        "memory": bool(args.memory),
-        "memory_threshold": args.threshold,
-    }
+    config.update(rounds_cap=args.rounds, memory=bool(args.memory),
+                  memory_threshold=args.threshold)
     body = {
         "rounds": len(fleet.rounds),
         "round_weights": fleet.round_weights(),
@@ -310,12 +292,10 @@ def cmd_correct(args) -> int:
     }
     if args.test:
         body.update(_test_report(watch, fleet, args.test))
-    _write_metrics(args.metrics or args.out + ".metrics.json", "correct", config, body, watch)
-    return 0
+    return args.out + ".metrics.json", config, body
 
 
-def cmd_online_sim(args) -> int:
-    watch = _Stopwatch()
+def cmd_online_sim(args, watch: _Stopwatch):
     with watch("load"):
         if args.schedule:
             schedule = schedule_from_json(_read_text(args.schedule))
@@ -351,13 +331,10 @@ def cmd_online_sim(args) -> int:
         "final_overall_accuracy": session.history[-1]["overall"] if session.history else None,
         "state_digest": digest,
     }
-    _write_metrics(args.metrics or os.path.join(args.out, "metrics.json"),
-                   "online-sim", config, body, watch)
-    return 0
+    return os.path.join(args.out, "metrics.json"), config, body
 
 
-def cmd_bench(args) -> int:
-    watch = _Stopwatch()
+def cmd_bench(args, watch: _Stopwatch):
     dims = args.dims or list(DEFAULT_BENCH_DIMS)
     with watch("load"):
         specs = specialist_specs(seed=args.seed, n_models=args.models)
@@ -395,13 +372,11 @@ def cmd_bench(args) -> int:
         "train_per_class": args.train,
         "test_per_class": args.test,
     }
-    _write_metrics(args.metrics or args.out or "bench.json",
-                   "bench", config, {"per_dim": results, "classes": n_classes}, watch)
     for dim in dims:
         r = results[str(dim)]
         print(f"dim {dim:>6}: accuracy {r['overall_accuracy']:.4f}  "
               f"predict {r['glue_predict_ms_per_query']:.2f} ms/query")
-    return 0
+    return args.out or "bench.json", config, {"per_dim": results, "classes": n_classes}
 
 
 # -- argument plumbing ---------------------------------------------------
@@ -504,10 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    watch = _Stopwatch()
     try:
-        return args.fn(args)
+        default_metrics, config, body = args.fn(args, watch)
+        _write_metrics(args.metrics or default_metrics, args.command, config, body, watch)
+        return 0
     except HDGlueError as e:
         print(f"hdglue: error: {e}", file=sys.stderr)
         return 1

@@ -237,6 +237,13 @@ _I64_BOUND = 1 << 63
 _PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-number raises InvalidValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _hash_walk(init: int, mult: int, count: int) -> np.ndarray:
     """The first ``count`` values of SeedSequence's running hash constant."""
     walk = [init]
@@ -312,7 +319,13 @@ class SyntheticNetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
+        # Plain ints and floats, so a spec read back from its JSON dict is
+        # the spec that wrote it and hashes the same.
+        object.__setattr__(self, "classes", tuple(check_int("class", c) for c in self.classes))
+        for name in ("length", "seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        if not -_I64_BOUND <= self.seed < _I64_BOUND:
+            raise InvalidValueError("seed must lie in [-2**63, 2**63)")
         means = np.ascontiguousarray(self.class_means, dtype=np.float32)
         if means.shape != (len(self.classes), self.length):
             raise InvalidValueError(
@@ -320,7 +333,8 @@ class SyntheticNetworkSpec:
             )
         means.setflags(write=False)
         object.__setattr__(self, "class_means", means)
-        spec = tuple(sorted((int(c), float(s)) for c, s in dict(self.specialization).items()))
+        spec = tuple(sorted((check_int("class", c), _check_real("noise multiplier", s))
+                            for c, s in dict(self.specialization).items()))
         for c, s in spec:
             if c not in self.classes:
                 raise InvalidValueError(f"specialization names unknown class {c}")
@@ -329,6 +343,7 @@ class SyntheticNetworkSpec:
         object.__setattr__(self, "specialization", spec)
         if not self.classes:
             raise InvalidValueError("class set must not be empty")
+        object.__setattr__(self, "noise_scale", _check_real("noise_scale", self.noise_scale))
         # zero is allowed: a noiseless source emits its class means verbatim
         if self.noise_scale < 0 or not np.isfinite(self.noise_scale):
             raise InvalidValueError("noise_scale must not be negative")
@@ -402,15 +417,8 @@ class SyntheticNetworkSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SyntheticNetworkSpec":
         try:
-            return cls(
-                classes=tuple(d["classes"]),
-                length=int(d["length"]),
-                class_means=np.asarray(d["class_means"], dtype=np.float32),
-                noise_scale=float(d["noise_scale"]),
-                specialization=tuple((int(c), float(s)) for c, s in d["specialization"]),
-                seed=int(d["seed"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            return cls(**d)
+        except (TypeError, ValueError, HDGlueError) as e:
             raise DataFormatError(f"bad source spec: {e}") from None
 
     def content_hash(self) -> str:
@@ -558,17 +566,6 @@ def _unpack_container(data: bytes, path: str = "<bytes>"):
     return kind, config, blobs
 
 
-def _encoder_config_dict(cfg: EncoderConfig) -> dict:
-    return {"length": cfg.length, "dim": cfg.dim, "num_levels": cfg.num_levels, "seed": cfg.seed}
-
-
-def _encoder_config_from(d: dict) -> EncoderConfig:
-    return EncoderConfig(
-        length=int(d["length"]), dim=int(d["dim"]),
-        num_levels=int(d["num_levels"]), seed=int(d["seed"]),
-    )
-
-
 def _tally_blobs(model: HILModel) -> dict:
     """A model's tallies: ``acc/{label}`` per class and its ``fusion``."""
     blobs = {f"acc/{lab}": model.class_accumulators[lab].state_bytes() for lab in model.labels()}
@@ -584,7 +581,7 @@ def _load_tallies(model: HILModel, labels, blobs: dict) -> HILModel:
 
 def _hil_state(model: HILModel) -> tuple[dict, dict]:
     config = {
-        "encoder": _encoder_config_dict(model.config),
+        "encoder": asdict(model.config),
         "registry_seed": model.registry.seed,
         "labels": model.labels(),
     }
@@ -592,7 +589,7 @@ def _hil_state(model: HILModel) -> tuple[dict, dict]:
 
 
 def _hil_restore(config: dict, blobs: dict) -> HILModel:
-    enc_cfg = _encoder_config_from(config["encoder"])
+    enc_cfg = EncoderConfig(**config["encoder"])
     registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
     return _load_tallies(HILModel(enc_cfg, registry), config["labels"], blobs)
 
@@ -613,7 +610,7 @@ def _glue_state(glue: GlueModel) -> tuple[dict, dict]:
             "active": m.active,
             "kind": "fold" if m.hil is None else "hil",
             "labels": sorted(m.labels),
-            "encoder": _encoder_config_dict(m.encoder.config),
+            "encoder": asdict(m.encoder.config),
         })
         sub = _tally_blobs(m.hil) if m.hil is not None else {"fold": m.fold_acc.state_bytes()}
         blobs.update((f"member/{m.index}/{k}", v) for k, v in sub.items())
@@ -639,7 +636,7 @@ def _glue_restore(config: dict, blobs: dict) -> GlueModel:
         index = int(entry["index"])
         sub = _sub_blobs(blobs, f"member/{index}/")
         labels = [int(c) for c in entry["labels"]]
-        enc_cfg = _encoder_config_from(entry["encoder"])
+        enc_cfg = EncoderConfig(**entry["encoder"])
         if entry["kind"] == "hil":
             # A member of another dim fails the registry's dim check.
             hil = _load_tallies(HILModel(enc_cfg, registry), labels, sub)
@@ -668,7 +665,7 @@ def _fleet_state(fleet: ErrorFleet) -> tuple[dict, dict]:
     blobs["memory/labels"] = fleet.memory_labels.astype("<i8").tobytes()
     first = fleet.rounds[0].hil
     config = {
-        "encoder": _encoder_config_dict(first.config),
+        "encoder": asdict(first.config),
         "registry_seed": first.registry.seed,
         "rounds": rounds,
         "memory_threshold_millionths": round(fleet.memory_threshold * MILLION),
@@ -678,7 +675,7 @@ def _fleet_state(fleet: ErrorFleet) -> tuple[dict, dict]:
 
 
 def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
-    enc_cfg = _encoder_config_from(config["encoder"])
+    enc_cfg = EncoderConfig(**config["encoder"])
     registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
     encoder = SignalEncoder(enc_cfg)
     rounds = []
@@ -719,11 +716,7 @@ def _session_state(session) -> tuple[dict, dict]:
 def _session_restore(config: dict, blobs: dict):
     from .online import OnlineConfig, OnlineSession, event_from_dict
 
-    c = config["config"]
-    session = OnlineSession(OnlineConfig(
-        dim=int(c["dim"]), num_levels=int(c["num_levels"]),
-        seed=int(c["seed"]), test_per_class=int(c["test_per_class"]),
-    ))
+    session = OnlineSession(OnlineConfig(**config["config"]))
     session.glue = _glue_restore(config["glue"], _sub_blobs(blobs, "glue/"))
     for d in config["events"]:
         session._book(event_from_dict(d))

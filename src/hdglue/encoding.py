@@ -223,8 +223,11 @@ class SignalEncoder:
         return Hypervector(self.config.dim, self._encode_words(arr[None, :])[0])
 
     def encode_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Read-only (n, words) uint64 matrix whose row k is ``encode(rows[k]).words``."""
+        """Read-only (n, words) uint64 matrix whose row k is ``encode(rows[k]).words``;
+        an empty list is a batch of no rows."""
         rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, self.config.length)
         if rows.ndim != 2:
             raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
         return self._encode_words(rows)

@@ -434,9 +434,6 @@ class ErrorFleet:
         return [r.weight / MILLION for r in self.rounds]
 
     def predict_batch(self, rows) -> tuple[np.ndarray, list[str]]:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
         return self.predict_words(self._encoder.encode_batch(rows))
 
     def predict_words(self, words) -> tuple[np.ndarray, list[str]]:

@@ -102,21 +102,13 @@ class HILModel:
     @classmethod
     def train(cls, rows, labels, config: EncoderConfig, registry: ClassRegistry) -> "HILModel":
         model = cls(config, registry)
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] == 0:
-            raise InvalidValueError("training needs a non-empty 2-d example matrix")
         model.update(rows, labels)
+        if model.classification_vector is None:
+            raise InvalidValueError("training needs at least one example")
         return model
 
     def update(self, rows, labels) -> None:
-        """Fold more labelled examples in; empty input is a no-op."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.size == 0:
-            return
-        if rows.ndim != 2:
-            raise InvalidValueError(f"expected a 2-d example matrix, got shape {rows.shape}")
-        if rows.shape[0] != len(labels):
-            raise InvalidValueError(f"{rows.shape[0]} rows vs {len(labels)} labels")
+        """Fold more labelled examples in; ``update([], [])`` is a no-op."""
         self.update_encoded(self.encoder.encode_batch(rows), labels)
 
     def update_encoded(self, words, labels) -> None:

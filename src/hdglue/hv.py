@@ -182,9 +182,10 @@ class Hypervector:
     """Immutable packed bit vector.
 
     Construct through :func:`random_hv`, :meth:`zero`, :meth:`from_bits`,
-    or :meth:`from_words`; the constructor trusts its words and is meant
-    for internal use. ``words`` is a read-only uint64 array with every bit
-    past ``dim`` zero.
+    or :meth:`from_words`, the checked way in from a row of packed words
+    such as one of ``encode_batch``; the constructor trusts its words and
+    is meant for internal use. ``words`` is a read-only uint64 array with
+    every bit past ``dim`` zero.
     """
 
     __slots__ = ("dim", "words")

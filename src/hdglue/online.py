@@ -135,8 +135,7 @@ def schedule_from_json(text: str) -> list:
     return [event_from_dict(d) for d in raw]
 
 
-def staged_schedule(specs, classes_per_stage=2, observe_per_class=100,
-                    weight: float = 1.0) -> list:
+def staged_schedule(specs, classes_per_stage=2, observe_per_class=100) -> list:
     """The growing-fleet protocol: each stage seats one model, introduces
     its slice of classes, observes, and evaluates."""
     schedule = []
@@ -146,7 +145,7 @@ def staged_schedule(specs, classes_per_stage=2, observe_per_class=100,
             c for c in range(next_class, next_class + classes_per_stage) if c in spec.classes
         )
         next_class += classes_per_stage
-        schedule.append(AddModel(f"m{k}", spec, classes=classes, weight=weight))
+        schedule.append(AddModel(f"m{k}", spec, classes=classes))
         schedule.append(Observe(observe_per_class))
         schedule.append(Evaluate(label=f"stage{k + 1}"))
     return schedule

@@ -145,6 +145,10 @@ def test_source_validation():
         SyntheticNetworkSpec((0,), 4, np.zeros((1, 4)), 1.0, ((5, 2.0),))
     with pytest.raises(InvalidValueError):
         SyntheticNetworkSpec((0,), 4, np.zeros((1, 4)), 1.0, ((0, 0.0),))
+    with pytest.raises(InvalidValueError):  # its rows hash it as an int64
+        SyntheticNetworkSpec((0,), 4, np.zeros((1, 4)), 1.0, (), 2**63)
+    with pytest.raises(InvalidValueError, match="must be a number"):
+        SyntheticNetworkSpec((0,), 4, np.zeros((1, 4)), "1.0")
     with pytest.raises(InvalidValueError):
         default_spec(0).dataset("train", 0)
 
@@ -314,6 +318,42 @@ def test_state_digest_is_the_hash_of_the_container_bytes():
     for obj in (trained_hil(), trained_glue(), trained_session()):
         expected = hashlib.blake2b(model_to_bytes(obj), digest_size=16).hexdigest()
         assert obj.state_digest() == expected
+
+
+# state_digest() of one object of each kind at D = 512. Equal digests mean
+# equal files, so these pin the bits of training, fusion, correction and the
+# online replay, and the bytes of the container. A change to the file format
+# must update them and say why; any other change must leave them alone.
+GOLDEN_DIGESTS = {
+    "hil": "c5727a962f7ce43fd7a04d66db715e7b",
+    "glue": "1a78e4922e10bc6dcdb1890d66f90905",
+    "fleet": "aa58d192cb3965f41a0fc01d95187051",
+    "session": "cabbf9a5180a45c065500cd57e790622",
+}
+
+
+def golden_object(kind):
+    if kind == "hil":
+        return trained_hil(dim=512)
+    if kind == "glue":
+        glue = trained_glue(dim=512)
+        assert [m.hil is None for m in glue.members.values()].count(True) == 1
+        return glue
+    if kind == "fleet":
+        spec = default_spec(0, signature_size=32, noise=2.2)
+        train = spec.dataset("train", 40)
+        cfg = EncoderConfig(length=spec.length, dim=512, num_levels=65, seed=0)
+        fleet = fleet_correct(train.values, train.labels.tolist(), cfg, ClassRegistry(0, 512),
+                              max_rounds=3, residual_memory=True)
+        assert len(fleet.rounds) == 3 and len(fleet.memory_labels) > 0
+        return fleet
+    config = OnlineConfig(dim=512, num_levels=17, seed=0, test_per_class=10)
+    return session_run(staged_schedule(specialist_specs(0), observe_per_class=15), config)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+def test_state_digest_equals_its_golden_value(kind):
+    assert data_io.state_digest(golden_object(kind)) == GOLDEN_DIGESTS[kind]
 
 
 def test_loaded_hil_predicts_identically_on_random_queries():

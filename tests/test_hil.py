@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hdglue import (
     ClassRegistry,
     EncoderConfig,
+    GlueModel,
     HILModel,
     InvalidValueError,
     SeedContext,
@@ -104,6 +105,30 @@ def test_update_with_empty_batch_is_noop():
     before = model.state_digest()
     model.update(np.zeros((0, train.length)), [])
     assert model.state_digest() == before
+
+
+def test_update_refuses_an_empty_batch_with_labels():
+    # The early return for an empty batch once skipped the row/label check.
+    _, train, _ = two_class_data()
+    model = fresh_model(train)
+    before = model.state_digest()
+    with pytest.raises(InvalidValueError, match="0 rows vs 2 labels"):
+        model.update(np.empty((0, train.length)), [3, 4])
+    assert model.state_digest() == before
+
+
+def test_update_member_with_no_rows_reseats_the_member():
+    _, train, _ = two_class_data()
+    registry = ClassRegistry(0, 512)
+    models = [HILModel.train(train.values, train.labels.tolist(),
+                             EncoderConfig(length=train.length, dim=512, seed=k), registry)
+              for k in (1, 2)]
+    glue = GlueModel.build(models, seed=0)
+    models[0].update(train.values[:3], [7, 7, 7])  # past the glue: its term is now stale
+    assert glue.member("m0").vector != models[0].classification_vector
+    glue.update_member("m0", [], [])
+    assert glue.member("m0").vector is models[0].classification_vector
+    assert glue.state_digest() == GlueModel.build(models, seed=0).state_digest()
 
 
 def test_update_new_label_adds_one_term():

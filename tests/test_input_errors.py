@@ -1,10 +1,12 @@
 """Input from outside the program fails with a typed error, never a builtin one.
 
-Each case in ``CASES`` once leaked the error named in its id: a schedule, a
-source spec, a CSV dataset, a spec file handed to ``hdglue gen-synth``, or a
-stored hypervector or tally whose header names a width out of range. Each
-case in ``CONFIG_CASES`` is a config field that is not an integer; it once
-was accepted or raised a bare TypeError.
+Each case in ``CASES`` once leaked the error named in its id, or loaded as
+the value it names: a schedule, a source spec, a CSV dataset, a spec file
+handed to ``hdglue gen-synth``, a stored hypervector or tally whose header
+names a width out of range, or a model file whose config holds a float or a
+string where an integer belongs. Each case in ``CONFIG_CASES`` is a config
+field that is not an integer; it once was accepted or raised a bare
+TypeError.
 """
 
 import json
@@ -15,6 +17,7 @@ import pytest
 
 import numpy as np
 
+from hdglue import data_io
 from hdglue.bundling import ConsensusAccumulator
 from hdglue.cli import main
 from hdglue.data_io import (
@@ -28,7 +31,7 @@ from hdglue.encoding import EncoderConfig
 from hdglue.errors import DataFormatError, InvalidValueError
 from hdglue.hil import ClassRegistry, HILModel
 from hdglue.hv import Hypervector, SeedContext
-from hdglue.online import OnlineConfig, schedule_from_json
+from hdglue.online import OnlineConfig, OnlineSession, schedule_from_json
 
 
 def _spec_dict(**changes):
@@ -41,6 +44,24 @@ def _schedule(*events):
 
 def _spec(**changes):
     return lambda tmp_path: SyntheticNetworkSpec.from_json_dict(_spec_dict(**changes))
+
+
+def _container(make, section, **changes):
+    """``make()``'s model file, with ``changes`` made to one section of its config."""
+    def feed(tmp_path):
+        kind, config, blobs = data_io._unpack_container(model_to_bytes(make()))
+        config[section].update(changes)
+        model_from_bytes(data_io._pack_container(kind, config, blobs))
+    return feed
+
+
+def _hil():
+    cfg = EncoderConfig(length=4, dim=256, num_levels=9, seed=0)
+    return HILModel.train(np.zeros((2, 4)), [0, 1], cfg, ClassRegistry(0, 256))
+
+
+def _session():
+    return OnlineSession(OnlineConfig(dim=256, num_levels=9, test_per_class=2))
 
 
 def _csv_not_utf8(tmp_path):
@@ -65,6 +86,13 @@ CASES = [
                  id="schedule-text-count-ValueError"),
     pytest.param(_spec(length="zz"), id="spec-text-length-ValueError"),
     pytest.param(_spec(specialization=[[0]]), id="spec-one-element-pair-ValueError"),
+    pytest.param(_spec(classes=[0.5, 1.9]), id="spec-classes-0.5-1.9-read-as-0-1"),
+    pytest.param(_spec(classes=[True, False]), id="spec-classes-true-false-read-as-1-0"),
+    pytest.param(_spec(seed="7"), id="spec-text-seed-read-as-7"),
+    pytest.param(_spec(length=8.0), id="spec-length-8.0-read-as-8"),
+    pytest.param(_container(_hil, "encoder", num_levels=5.9), id="hil-levels-5.9-read-as-5"),
+    pytest.param(_container(_session, "config", test_per_class="40"),
+                 id="session-text-test-per-class-read-as-40"),
     pytest.param(_csv_not_utf8, id="csv-not-utf8-UnicodeDecodeError"),
     pytest.param(_gen_synth_spec_not_json, id="cli-gen-synth-spec-not-json-JSONDecodeError"),
     pytest.param(lambda tmp_path: ConsensusAccumulator(64, SeedContext(0, "t", 0))
@@ -90,6 +118,10 @@ CONFIG_CASES = [
     pytest.param(lambda: EncoderConfig(length=4, seed="x"), id="seed-text-TypeError"),
     pytest.param(lambda: EncoderConfig(length=True), id="length-True-accepted"),
     pytest.param(lambda: OnlineConfig(test_per_class=2.5), id="test-per-class-2.5-TypeError-later"),
+    pytest.param(lambda: SyntheticNetworkSpec((0, 1), 4, np.zeros((2, 4)), 1.0, seed="7"),
+                 id="spec-text-seed-struct.error-later"),
+    pytest.param(lambda: SyntheticNetworkSpec((0, 1), 4.0, np.zeros((2, 4)), 1.0),
+                 id="spec-length-4.0-accepted"),
 ]
 
 
