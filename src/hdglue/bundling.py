@@ -11,9 +11,9 @@ int64 counter can wrap.
 
 A batch of n terms of equal weight w lands in one step. A bit set in k of
 the n rows moves its tally by w*k - w*(n - k) = w*(2k - n), which is the
-sum of the n single moves. Each k is an exact integer column sum over the
-packed rows, so the counters equal those of n adds, in any order. A
-single add or subtract is a batch of one.
+sum of the n single moves. So a batch needs only each bit's k: a column
+sum over packed rows, or counts a caller already holds. The counters equal
+those of n adds, in any order. A single add or subtract is a batch of one.
 
 Finalizing takes the per-bit sign; exact zero tallies fall back to a
 seeded tiebreak vector so the result is still deterministic.
@@ -33,7 +33,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidValueError,
 )
-from .hv import Hypervector, SeedContext, check_dim, num_words, random_hv
+from .hv import Hypervector, SeedContext, check_dim, check_int, num_words, random_hv
 
 __all__ = [
     "MILLION",
@@ -98,24 +98,25 @@ class ConsensusAccumulator:
         if self.total_weight + extra >= _WEIGHT_CAP:
             raise InvalidValueError("total weight would reach the cap of 2**62 millionths")
 
-    def _tally(self, words: np.ndarray, m: int, sign: int = 1) -> None:
-        """Move each counter by sign * m * (set - clear) over the rows of ``words``."""
-        n, step = words.shape[0], sign * m
+    def _tally(self, counts: np.ndarray, n: int, m: int, sign: int = 1) -> None:
+        """Move each counter by sign * m * (set - clear) over n rows of which
+        ``counts`` (int64, per bit) set each bit."""
+        step = sign * m
         self._check_room(step * n)
         # In place, with one temporary: a single add is a hot call. Moving by
         # -step * n first keeps every partial sum inside int64 below the cap.
         self.counters -= step * n
-        self.counters += 2 * step * _kernels.column_counts(words, self.dim)
+        self.counters += 2 * step * counts
         self.total_weight += step * n
         self.term_count += sign * n
 
-    def _row(self, v: Hypervector) -> np.ndarray:
+    def _row_counts(self, v: Hypervector) -> np.ndarray:
         if v.dim != self.dim:
             raise DimensionMismatchError(f"dim {v.dim} vs accumulator dim {self.dim}")
-        return v.words[None, :]
+        return _kernels.column_counts(v.words[None, :], self.dim)
 
     def add(self, v: Hypervector, weight=1) -> None:
-        self._tally(self._row(v), to_millionths(weight))
+        self._tally(self._row_counts(v), 1, to_millionths(weight))
 
     def add_words(self, words: np.ndarray, weight=1) -> None:
         """Add each row of a packed (n, words) matrix as one term of ``weight``.
@@ -128,7 +129,24 @@ class ConsensusAccumulator:
             raise DimensionMismatchError(
                 f"word matrix of shape {words.shape} vs accumulator dim {self.dim}"
             )
-        self._tally(words, m)
+        self._tally(_kernels.column_counts(words, self.dim), words.shape[0], m)
+
+    def add_counts(self, counts, n: int) -> None:
+        """Add n terms of weight 1 known only by how many of them set each
+        bit: ``counts`` is a (dim,) integer array with entries in [0, n].
+
+        Same counters as :meth:`add_words` on any n rows with those column
+        counts.
+        """
+        n = check_int("row count", n)
+        counts = np.asarray(counts)
+        if counts.shape != (self.dim,):
+            raise DimensionMismatchError(
+                f"bit counts of shape {counts.shape} vs accumulator dim {self.dim}"
+            )
+        if counts.dtype.kind not in "iu" or counts.min() < 0 or counts.max() > n:
+            raise InvalidValueError(f"bit counts must be integers in [0, {n}]")
+        self._tally(counts.astype(np.int64, copy=False), n, MILLION)
 
     def sub(self, v: Hypervector, weight=1) -> None:
         """Remove one previously added term; exact inverse of :meth:`add`."""
@@ -137,7 +155,7 @@ class ConsensusAccumulator:
             raise AccumulatorUnderflowError(
                 f"cannot remove weight {m} from total {self.total_weight}"
             )
-        self._tally(self._row(v), m, -1)
+        self._tally(self._row_counts(v), 1, m, -1)
 
     def merge(self, other: "ConsensusAccumulator") -> None:
         """Add ``other``'s tally to this one in place; the tiebreak stays this one's."""

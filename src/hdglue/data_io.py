@@ -371,8 +371,13 @@ class SyntheticNetworkSpec:
         """
         label = check_int("label", label)
         mean, sigma = self.mean_for(label), self.sigma_for(label)
-        ids = [check_int("example id", i) for i in ids]
-        if ids and not (-_I64_BOUND <= min(ids) and max(ids) < _I64_BOUND):
+        if isinstance(ids, range):
+            # A range holds ints only, and its extremes are its ends.
+            ends = (ids[0], ids[-1]) if ids else ()
+        else:
+            ids = [check_int("example id", i) for i in ids]
+            ends = (min(ids), max(ids)) if ids else ()
+        if not all(-_I64_BOUND <= i < _I64_BOUND for i in ends):
             raise InvalidValueError("example ids must lie in [-2**63, 2**63)")
         prefix = hashlib.blake2b(digest_size=8)
         prefix.update(struct.pack("<q", self.seed))

@@ -199,9 +199,15 @@ class SignalEncoder:
     def _majority(self) -> _BoundMajority:
         return _BoundMajority(self.levels, self.positions, self.tiebreak)
 
-    def _encode_words(self, rows: np.ndarray) -> np.ndarray:
-        """Read-only (n, words) majority words for a 2-d float64 batch,
-        once its width and every value are checked."""
+    def _quantized(self, rows) -> np.ndarray:
+        """(n, length) int16 quantization levels of a row batch, once its
+        shape, its width and every value are checked: the one check of a row
+        matrix. An empty list is a batch of no rows."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, self.config.length)
+        if rows.ndim != 2:
+            raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
         if rows.shape[1] != self.config.length:
             raise DimensionMismatchError(
                 f"encoder expects {self.config.length} components, got {rows.shape[1]}"
@@ -211,26 +217,22 @@ class SignalEncoder:
             raise InvalidValueError(
                 f"non-finite value at row {bad[0, 0]}, component {bad[0, 1]}"
             )
-        words = self._majority(_quantize_array(rows, self.config.num_levels))
-        words.setflags(write=False)
-        return words
+        return _quantize_array(rows, self.config.num_levels)
 
     def encode(self, values) -> Hypervector:
         """Bitwise majority over per-component level-position bindings."""
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise InvalidValueError(f"expected a flat value vector, got shape {arr.shape}")
-        return Hypervector(self.config.dim, self._encode_words(arr[None, :])[0])
+        words = self._majority(self._quantized(arr[None, :]))
+        return Hypervector._wrap(self.config.dim, words[0])
 
     def encode_batch(self, rows: np.ndarray) -> np.ndarray:
         """Read-only (n, words) uint64 matrix whose row k is ``encode(rows[k]).words``;
         an empty list is a batch of no rows."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape == (0,):
-            rows = rows.reshape(0, self.config.length)
-        if rows.ndim != 2:
-            raise InvalidValueError(f"expected a 2-d batch, got shape {rows.shape}")
-        return self._encode_words(rows)
+        words = self._majority(self._quantized(rows))
+        words.setflags(write=False)
+        return words
 
 
 class _BoundMajority:
@@ -250,12 +252,21 @@ class _BoundMajority:
     popcount, exact in integers. The bit is set when
     ``2 * count + tiebreak > length``: a strict majority, or an exact tie
     that the tiebreak bit settles.
+
+    Each chunk of rows gives its flipped bits as (slices * width) slots in
+    flip order, and two readers take them from there. Calling the object
+    gathers the slots back to output order and packs them into words.
+    :meth:`counts` never does: a tally needs only how many rows set each
+    bit, which does not depend on bit order, so it sums the slots along the
+    rows and moves each flipped bit's sum to its position once.
     """
 
     def __init__(self, levels: LevelTable, positions: PositionBasis, tiebreak: Hypervector):
         dim, length = levels.dim, positions.length
         sizes = levels.flip_schedule
         order = levels.flip_order
+        # counts() reads each flipped bit's slot by its position.
+        self.dim, self.order = dim, order
         # Slices are near-equal with the larger ones first.
         self.n_slices, self.wide = sizes.shape[0], int(sizes[0])
         self.n_wide = int((sizes == self.wide).sum())
@@ -314,8 +325,13 @@ class _BoundMajority:
         narrow[...] = x[..., split:].reshape(narrow.shape)
         return out
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        """(n, words) uint64 majority words for an (n, length) int16 level matrix."""
+    def _slot_chunks(self, q: np.ndarray, max_rows: int):
+        """(first row, (rows, slices * width) bool slots) for each chunk of at
+        most ``max_rows`` rows of an (n, length) int16 level matrix.
+
+        Slot ``gather[d]`` of a row is its output bit d for every flipped bit
+        d; padding slots hold no bit and may read 1.
+        """
         n, length = q.shape
         n_slots = self.n_slices * self.wide
         row_bytes = (
@@ -324,8 +340,7 @@ class _BoundMajority:
             + n_slots * (np.dtype(self.count_type).itemsize + 1)  # counts, slots
             + self.gather.shape[0]  # output bits
         )
-        step = max(1, _CHUNK_BYTES // row_bytes)
-        out = np.empty((n, self.flip_mask.shape[0]), dtype=np.uint64)
+        step = max(1, min(max_rows, _CHUNK_BYTES // row_bytes))
         # Gate bits past the signal's length stay clear.
         gate = np.zeros((min(n, step), self.n_slices, self.gate_bits), dtype=bool)
         for lo in range(0, n, step):
@@ -338,7 +353,26 @@ class _BoundMajority:
             count += count
             count += self.threshold
             on = np.bitwise_count(g).sum(axis=1, dtype=self.count_type)
-            slots = np.less(count, on[..., None]).reshape(rows, n_slots)
+            yield lo, np.less(count, on[..., None]).reshape(rows, n_slots)
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        """(n, words) uint64 majority words for an (n, length) int16 level matrix."""
+        out = np.empty((q.shape[0], self.flip_mask.shape[0]), dtype=np.uint64)
+        for lo, slots in self._slot_chunks(q, q.shape[0]):
             bits = np.packbits(slots.take(self.gather, axis=1), axis=-1, bitorder="little")
-            out[lo : lo + rows] = bits.view(np.uint64) & self.flip_mask | self.base_words
+            out[lo : lo + slots.shape[0]] = bits.view(np.uint64) & self.flip_mask | self.base_words
+        return out
+
+    def counts(self, q: np.ndarray) -> np.ndarray:
+        """(dim,) int64: how many rows of an (n, length) int16 level matrix
+        set each bit of their majority words, as ``column_counts`` of
+        ``self(q)`` gives, with no row gathered or packed."""
+        slot_counts = np.zeros(self.n_slices * self.wide, dtype=np.int64)
+        # A uint8 sum over at most 255 rows is exact, and far cheaper than a
+        # wider one.
+        for _, slots in self._slot_chunks(q, 255):
+            slot_counts += np.add.reduce(slots, axis=0, dtype=np.uint8)
+        out = unpack_bits(self.base_words, self.dim).astype(np.int64)
+        out *= q.shape[0]
+        out[self.order] = slot_counts[self.gather[self.order]]
         return out

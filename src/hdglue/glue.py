@@ -33,7 +33,7 @@ from .errors import (
     UntrainedModelError,
 )
 from .hil import ClassRegistry, HILModel
-from .hv import Hypervector, SeedContext, check_words, random_hv
+from .hv import Hypervector, SeedContext, check_int, check_words, random_hv
 
 __all__ = ["ErrorFleet", "FleetRound", "GlueMember", "GlueModel", "fleet_correct", "round_weight"]
 
@@ -68,10 +68,10 @@ class GlueModel:
     def __init__(self, registry: ClassRegistry, seed: int = 0):
         self.registry = registry
         self.dim = registry.dim
-        self.seed = seed
+        self.seed = check_int("seed", seed)
         self.members: dict[str, GlueMember] = {}
         self._next_index = 0
-        self._fusion = ConsensusAccumulator(self.dim, SeedContext(seed, "tiebreak-glue", 0))
+        self._fusion = ConsensusAccumulator(self.dim, SeedContext(self.seed, "tiebreak-glue", 0))
         self._glue_vector: Hypervector | None = None
 
     @classmethod

@@ -39,7 +39,7 @@ class ClassRegistry:
     """
 
     def __init__(self, seed: int, dim: int):
-        self.seed = seed
+        self.seed = check_int("seed", seed)
         self.dim = check_dim(dim)
         self._ids: dict[int, Hypervector] = {}
 
@@ -108,16 +108,29 @@ class HILModel:
         return model
 
     def update(self, rows, labels) -> None:
-        """Fold more labelled examples in; ``update([], [])`` is a no-op."""
-        self.update_encoded(self.encoder.encode_batch(rows), labels)
+        """Fold more labelled examples in; ``update([], [])`` is a no-op.
+
+        Each class tally moves by how many of its rows set each bit, which
+        the encoder counts without packing any row into words.
+        """
+        q = self.encoder._quantized(rows)
+        majority = self.encoder._majority
+        self._fold(q.shape[0], labels,
+                   lambda acc, idx: acc.add_counts(majority.counts(q[idx]), len(idx)))
 
     def update_encoded(self, words, labels) -> None:
         """Same as :meth:`update` but from an (n, words) uint64 matrix of
         encoded rows, as :meth:`SignalEncoder.encode_batch` returns."""
-        # Validate every row and label before the first counter moves.
         words = check_words(words, self.config.dim)
-        if words.shape[0] != len(labels):
-            raise InvalidValueError(f"{words.shape[0]} rows vs {len(labels)} labels")
+        self._fold(words.shape[0], labels, lambda acc, idx: acc.add_words(words[idx], 1))
+
+    def _fold(self, n_rows: int, labels, tally) -> None:
+        """Add n checked rows under ``labels``: ``tally(acc, idx)`` moves a
+        class tally by the rows at ``idx``; then re-seat each class's fusion
+        term and read out the classification vector."""
+        # Validate every row and label before the first counter moves.
+        if n_rows != len(labels):
+            raise InvalidValueError(f"{n_rows} rows vs {len(labels)} labels")
         rows_of: dict[int, list[int]] = {}
         for i, lab in enumerate(labels):
             self.registry.id_for(lab)  # rejects non-integer and negative labels
@@ -127,7 +140,7 @@ class HILModel:
         # Each trained class's old bundle, taken before its tally moves.
         old = {lab: self._bundle(lab) for lab in rows_of if lab in self.class_accumulators}
         for lab, idx in rows_of.items():
-            self._class_tally(lab).add_words(words[idx], 1)
+            tally(self._class_tally(lab), idx)
         # A class's fusion term is its ID bound to its bundle.
         for lab in sorted(rows_of):
             class_id = self.registry.id_for(lab)

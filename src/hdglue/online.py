@@ -21,7 +21,7 @@ import numpy as np
 from .bundling import MILLION, to_millionths
 from .data_io import SyntheticNetworkSpec, state_digest
 from .encoding import EncoderConfig
-from .errors import DataFormatError, InvalidValueError
+from .errors import DataFormatError, HDGlueError, InvalidValueError
 from .glue import GlueModel
 from .hil import ClassRegistry, HILModel
 from .hv import DEFAULT_DIM, check_int
@@ -69,6 +69,9 @@ class AddModel:
     classes: tuple = ()
     weight: float = 1.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(check_int("class", c) for c in self.classes))
+
 
 @dataclass(frozen=True)
 class Observe:
@@ -76,6 +79,11 @@ class Observe:
     introduced class, drawn from its own signal source."""
 
     per_class: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "per_class", check_int("per_class", self.per_class))
+        if self.per_class < 1:
+            raise InvalidValueError("observe batch must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,11 +99,11 @@ def event_to_dict(event) -> dict:
             "event": "add_model",
             "name": event.name,
             "spec": event.spec.to_json_dict(),
-            "classes": [int(c) for c in event.classes],
+            "classes": list(event.classes),
             "weight_millionths": to_millionths(event.weight),
         }
     if isinstance(event, Observe):
-        return {"event": "observe", "per_class": int(event.per_class)}
+        return {"event": "observe", "per_class": event.per_class}
     if isinstance(event, Evaluate):
         return {"event": "evaluate", "label": event.label}
     raise InvalidValueError(f"unknown event type {type(event).__name__}")
@@ -108,15 +116,16 @@ def event_from_dict(d: dict):
             return AddModel(
                 name=str(d["name"]),
                 spec=SyntheticNetworkSpec.from_json_dict(d["spec"]),
-                classes=tuple(int(c) for c in d["classes"]),
-                weight=Fraction(int(d["weight_millionths"]), MILLION),
+                classes=tuple(d["classes"]),
+                weight=Fraction(check_int("weight_millionths", d["weight_millionths"]), MILLION),
             )
         if kind == "observe":
-            return Observe(per_class=int(d["per_class"]))
+            return Observe(per_class=d["per_class"])
         if kind == "evaluate":
             return Evaluate(label=str(d.get("label", "")))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
-        # An event that is no JSON object, or a field missing or of the wrong type.
+    except (AttributeError, KeyError, TypeError, HDGlueError) as e:
+        # An event that is no JSON object, or a field missing, of the wrong
+        # type or refused by its event's constructor.
         raise DataFormatError(f"bad schedule event: {e!r}") from e
     raise DataFormatError(f"unknown schedule event {kind!r}")
 
@@ -186,8 +195,8 @@ class OnlineSession:
         if isinstance(event, AddModel):
             self.specs[event.name] = event.spec
             for c in event.classes:
-                self.intro_order.append(int(c))
-                self.next_train_id[int(c)] = 0
+                self.intro_order.append(c)
+                self.next_train_id[c] = 0
         elif isinstance(event, Observe):
             for c in self.intro_order:
                 self.next_train_id[c] += event.per_class
@@ -217,8 +226,6 @@ class OnlineSession:
         # scheme itself: test ids 0..test_per_class-1 never shift.
 
     def _apply_observe(self, event: Observe) -> None:
-        if event.per_class < 1:
-            raise InvalidValueError("observe batch must be positive")
         if not self.intro_order:
             raise InvalidValueError("observe before any class was introduced")
         for name in self.glue.active_names():

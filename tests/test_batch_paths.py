@@ -65,11 +65,17 @@ def _refuse(self, values):
     raise AssertionError("a multi-row call fell back to single-row encode")
 
 
+def _update_words_first(self, rows, labels):
+    self.update_encoded(self.encoder.encode_batch(rows), labels)
+
+
 def reference(monkeypatch, fn):
-    """``fn()`` with every batch encoded and tallied one row at a time."""
+    """``fn()`` with every batch encoded and tallied one row at a time, raw
+    rows included: ``HILModel.update`` encodes them first."""
     with monkeypatch.context() as m:
         m.setattr(SignalEncoder, "encode_batch", _per_row)
         m.setattr(ConsensusAccumulator, "add_words", _add_per_row)
+        m.setattr(HILModel, "update", _update_words_first)
         return fn()
 
 
@@ -108,11 +114,42 @@ def test_update_on_a_matrix_equals_row_by_row(monkeypatch, small_chunks, cfg):
         return model
 
     whole = batched(monkeypatch, train)
+    words_first = HILModel(cfg, registry)
+    words_first.update_encoded(words_first.encoder.encode_batch(rows), labels)
     one_by_one = HILModel(cfg, registry)
     for row, lab in zip(rows, labels):
         one_by_one.update(row[None, :], [lab])
     per_row = reference(monkeypatch, train)
-    assert whole.state_digest() == one_by_one.state_digest() == per_row.state_digest()
+    assert len(set(labels[:10])) > 1 and labels != sorted(labels)  # unsorted, interleaved
+    assert (whole.state_digest() == words_first.state_digest() == one_by_one.state_digest()
+            == per_row.state_digest())
+
+
+# Widths not a multiple of 64; 2, 17 and 1025 levels; one component, a
+# full uint64 word of them and one past it.
+COUNT_SHAPES = [
+    pytest.param(EncoderConfig(length=1, dim=577, num_levels=2, seed=5), id="dim577-len1-2lv"),
+    pytest.param(EncoderConfig(length=64, dim=1000, num_levels=17, seed=6), id="dim1000-len64"),
+    pytest.param(EncoderConfig(length=65, dim=2500, num_levels=1025, seed=7),
+                 id="dim2500-len65-1025lv"),
+]
+
+
+@pytest.mark.parametrize("chunks", ["small", "default"])
+@pytest.mark.parametrize("cfg", COUNT_SHAPES)
+def test_slot_counts_equal_column_counts_of_the_words(request, cfg, chunks):
+    if chunks == "small":
+        request.getfixturevalue("small_chunks")
+    enc = SignalEncoder(cfg)
+    rows, _ = labelled_rows(cfg, 256)
+    # 256 equal rows set some bits 256 times: one past what a uint8 sum holds.
+    rows = np.vstack([np.full((256, cfg.length), 9.0), rows])
+    q = enc._quantized(rows)
+    for lo, hi in ((0, 256), (256, 511), (511, 512), (0, 512), (3, 3)):
+        got = enc._majority.counts(q[lo:hi])
+        assert got.dtype == np.int64 and got.shape == (cfg.dim,)
+        assert np.array_equal(got, _kernels.column_counts(enc.encode_batch(rows[lo:hi]), cfg.dim))
+    assert enc._majority.counts(q[:256]).max() == 256
 
 
 @pytest.mark.parametrize("cfg", SHAPES)

@@ -171,6 +171,31 @@ def test_add_words_equals_a_loop_of_add(small_chunks, dim, n, weight):
         assert not batched.counters.all()  # ties were exercised
 
 
+@pytest.mark.parametrize("dim", [64, 130])
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_add_counts_equals_add_words_and_refuses_impossible_counts(dim, n):
+    words = stacked([vec(i, dim) for i in range(n)], dim)
+    counted, added = ConsensusAccumulator(dim, TB), ConsensusAccumulator(dim, TB)
+    for _ in range(2):
+        counted.add_counts(_kernels.column_counts(words, dim).astype(np.int32), n)
+        added.add_words(words)
+        assert counted == added
+    before = counted.state_bytes()
+    good = _kernels.column_counts(words, dim)
+    over, under = good.copy(), good.copy()
+    over[0], under[-1] = n + 1, -1
+    for bad_counts, bad_n, error in (
+        (good[:-1], n, DimensionMismatchError),
+        (over, n, InvalidValueError),
+        (under, n, InvalidValueError),
+        (good.astype(np.float64), n, InvalidValueError),
+        (good, 1.0 * n, InvalidValueError),
+    ):
+        with pytest.raises(error):
+            counted.add_counts(bad_counts, bad_n)
+        assert counted.state_bytes() == before
+
+
 def test_add_words_counts_past_a_byte():
     # 600 copies of one row: a per-chunk count past 255 would wrap.
     v = vec(3, 64)
@@ -265,13 +290,13 @@ def test_merge_keeps_its_own_tiebreak():
 
 def test_tallies_past_the_weight_cap_are_refused_before_anything_moves():
     # The heaviest single term a tally holds is 2**62 - 1 millionths, exactly.
-    edge, row, top = ConsensusAccumulator(DIM, TB), vec(0).words[None, :], (1 << 62) - 1
-    edge._tally(row, top)
+    edge, row, top = ConsensusAccumulator(DIM, TB), vec(0).bits().astype(np.int64), (1 << 62) - 1
+    edge._tally(row, 1, top)
     assert np.array_equal(edge.counters, brute_tally([(vec(0), top)], DIM))
-    edge._tally(row, top, -1)
+    edge._tally(row, 1, top, -1)
     assert not edge.counters.any() and edge.total_weight == 0
     with pytest.raises(InvalidValueError, match="cap"):
-        edge._tally(row, top + 1)
+        edge._tally(row, 1, top + 1)
     # 2**62 millionths is about 4.6e12 votes; near it the counters stay exact.
     acc = ConsensusAccumulator(DIM, TB)
     acc.add(vec(0), 4_000_000_000_000)

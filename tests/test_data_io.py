@@ -210,6 +210,16 @@ def test_batch_rows_are_byte_equal_to_per_row_default_rng(spec, split):
         spec.batch(split, spec.classes[0], [41])[0].tobytes()
 
 
+@pytest.mark.parametrize("ids", [
+    range(37, 77), range(0), range(5, -6, -3),
+    range(-2**63, -2**63 + 4), range(2**63 - 4, 2**63), range(2**63 - 1, -2**63 - 1, -(2**62)),
+], ids=["ascending", "empty", "descending", "lowest-ids", "highest-ids", "wide-steps"])
+def test_batch_of_a_range_equals_batch_of_its_list(ids):
+    # A range is checked by its ends only; its rows must not notice.
+    spec = specialist_specs(3)[1]
+    assert spec.batch("train", 1, ids).tobytes() == spec.batch("train", 1, list(ids)).tobytes()
+
+
 def test_spec_json_roundtrip_preserves_identity():
     spec = specialist_specs(5)[2]
     back = SyntheticNetworkSpec.from_json_dict(spec.to_json_dict())

@@ -29,9 +29,10 @@ from hdglue.data_io import (
 )
 from hdglue.encoding import EncoderConfig
 from hdglue.errors import DataFormatError, InvalidValueError
+from hdglue.glue import GlueModel
 from hdglue.hil import ClassRegistry, HILModel
 from hdglue.hv import Hypervector, SeedContext
-from hdglue.online import OnlineConfig, OnlineSession, schedule_from_json
+from hdglue.online import AddModel, Observe, OnlineConfig, OnlineSession, schedule_from_json
 
 
 def _spec_dict(**changes):
@@ -78,12 +79,24 @@ def _gen_synth_spec_not_json(tmp_path):
 
 ADD_WITHOUT_SPEC = {"event": "add_model", "name": "m0", "classes": [0], "weight_millionths": 1}
 
+
+def _add_event(**changes):
+    return dict(ADD_WITHOUT_SPEC, spec=_spec_dict(), **changes)
+
+
 CASES = [
     pytest.param(_schedule("x"), id="schedule-string-event-AttributeError"),
     pytest.param(_schedule({"event": "observe"}), id="schedule-observe-without-count-KeyError"),
     pytest.param(_schedule(ADD_WITHOUT_SPEC), id="schedule-add-without-spec-KeyError"),
     pytest.param(_schedule({"event": "observe", "per_class": "zz"}),
                  id="schedule-text-count-ValueError"),
+    pytest.param(_schedule({"event": "observe", "per_class": 2.5}),
+                 id="schedule-count-2.5-read-as-2"),
+    pytest.param(_schedule({"event": "observe", "per_class": 0}),
+                 id="schedule-count-0-accepted-until-applied"),
+    pytest.param(_schedule(_add_event(classes=[0.5])), id="schedule-class-0.5-read-as-0"),
+    pytest.param(_schedule(_add_event(weight_millionths=2.5)),
+                 id="schedule-weight-2.5-millionths-read-as-2"),
     pytest.param(_spec(length="zz"), id="spec-text-length-ValueError"),
     pytest.param(_spec(specialization=[[0]]), id="spec-one-element-pair-ValueError"),
     pytest.param(_spec(classes=[0.5, 1.9]), id="spec-classes-0.5-1.9-read-as-0-1"),
@@ -122,6 +135,12 @@ CONFIG_CASES = [
                  id="spec-text-seed-struct.error-later"),
     pytest.param(lambda: SyntheticNetworkSpec((0, 1), 4.0, np.zeros((2, 4)), 1.0),
                  id="spec-length-4.0-accepted"),
+    pytest.param(lambda: Observe(2.5), id="observe-2.5-TypeError-later"),
+    pytest.param(lambda: AddModel("m0", default_spec(0), classes=(0.5,)),
+                 id="add-model-class-0.5-accepted"),
+    pytest.param(lambda: ClassRegistry("x", 256), id="registry-text-seed-TypeError-later"),
+    pytest.param(lambda: GlueModel(ClassRegistry(0, 256), seed=1.5),
+                 id="glue-seed-1.5-TypeError-later"),
 ]
 
 
@@ -149,6 +168,8 @@ BATCH_ID_CASES = [
     pytest.param([1.5], id="id-1.5-truncated-to-1"),
     pytest.param([np.float64(2.0)], id="id-numpy-float-truncated"),
     pytest.param([True], id="id-True-read-as-1"),
+    pytest.param(range(2**63 - 1, 2**63 + 1), id="range-past-2**63"),
+    pytest.param(range(-2**63 + 1, -2**63 - 2, -1), id="descending-range-below-minus-2**63"),
 ]
 
 

@@ -57,15 +57,18 @@ def test_tracer_installs_records_and_restores(spans):
     labels = [0, 1, 2] * 4
     tracer = spans.Tracer()
     with spans.Instrumentation(tracer).active():
-        models = [HILModel.train(rows + k, labels,
-                                 EncoderConfig(length=6, dim=256, num_levels=9, seed=k), registry)
-                  for k in range(2)]
+        configs = [EncoderConfig(length=6, dim=256, num_levels=9, seed=k) for k in range(2)]
+        # One model learns raw rows, the other encoded words.
+        models = [HILModel.train(rows, labels, configs[0], registry),
+                  HILModel(configs[1], registry)]
+        models[1].update_encoded(models[1].encoder.encode_batch(rows + 1), labels)
         fused = GlueModel.build(models, seed=3)
         picks, _, _ = fused.predict_batch({"m0": rows, "m1": rows + 1})
     summary = tracer.summary()
-    for name in ("encoding.encode_batch", "hil.update_encoded", "bundling.finalize"):
+    for name in ("encoding.encode_batch", "hil.update", "hil.update_encoded",
+                 "bundling.finalize"):
         assert summary[name][0] > 0, name
-    assert tracer.counts["encoding.encode_batch.rows"] == 4 * len(rows)
+    assert tracer.counts["encoding.encode_batch.rows"] == 3 * len(rows)
     assert picks.shape == (len(rows),)
     for ns, attrs in before.items():
         now = vars(ns)
