@@ -38,6 +38,7 @@ from .hv import Hypervector, SeedContext, check_dim, check_int, num_words, rando
 __all__ = [
     "MILLION",
     "ConsensusAccumulator",
+    "check_room",
     "majority",
     "to_millionths",
 ]
@@ -46,6 +47,12 @@ MILLION = 1_000_000
 # Every total stays below this many millionths, so no counter, step or
 # partial sum leaves int64.
 _WEIGHT_CAP = 1 << 62
+
+
+def check_room(total: int, extra: int) -> None:
+    """Refuse a change by ``extra`` that would bring ``total`` to _WEIGHT_CAP millionths."""
+    if total + extra >= _WEIGHT_CAP:
+        raise InvalidValueError("total weight would reach the cap of 2**62 millionths")
 
 
 def to_millionths(weight) -> int:
@@ -93,16 +100,11 @@ class ConsensusAccumulator:
 
     # -- mutation --------------------------------------------------------
 
-    def _check_room(self, extra: int) -> None:
-        """Refuse a change that would bring the total weight to _WEIGHT_CAP."""
-        if self.total_weight + extra >= _WEIGHT_CAP:
-            raise InvalidValueError("total weight would reach the cap of 2**62 millionths")
-
     def _tally(self, counts: np.ndarray, n: int, m: int, sign: int = 1) -> None:
         """Move each counter by sign * m * (set - clear) over n rows of which
         ``counts`` (int64, per bit) set each bit."""
         step = sign * m
-        self._check_room(step * n)
+        check_room(self.total_weight, step * n)
         # In place, with one temporary: a single add is a hot call. Moving by
         # -step * n first keeps every partial sum inside int64 below the cap.
         self.counters -= step * n
@@ -161,7 +163,7 @@ class ConsensusAccumulator:
         """Add ``other``'s tally to this one in place; the tiebreak stays this one's."""
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
-        self._check_room(other.total_weight)
+        check_room(self.total_weight, other.total_weight)
         self.counters += other.counters
         self.total_weight += other.total_weight
         self.term_count += other.term_count

@@ -54,7 +54,8 @@ __all__ = [
 
 DATASET_MAGIC = b"HDGE"
 MODEL_MAGIC = b"HDGM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3  # of model containers
+DATASET_VERSION = 2  # the dataset layout is unchanged since version 2
 
 _KIND_CODES = {"hil": 1, "glue": 2, "fleet": 3, "session": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -175,19 +176,20 @@ def _with_crc(parts: list) -> bytes:
     return b"".join([*parts, struct.pack("<I", crc)])
 
 
-def _check_file(data: bytes, magic: bytes, header: int, path: str, what: str) -> None:
+def _check_file(data: bytes, magic: bytes, expected: int, header: int, path: str,
+                what: str) -> None:
     """Refuse anything but a current-version ``what`` file with an intact trailer.
 
-    Magic and version come first, so a file of another version is refused by
-    its version; ``header`` is the byte count of the fixed header.
+    Magic and version come first, so a file of any version but ``expected`` is
+    refused by its version; ``header`` is the byte count of the fixed header.
     """
     if len(data) < header + 4 or data[:4] != magic:
         raise DataFormatError(f"{path}: not a {what} file")
     (version,) = struct.unpack_from("<H", data, 4)
-    if version != FORMAT_VERSION:
+    if version != expected:
         raise DataFormatError(
             f"{path}: format version {version} is not supported; this reader reads "
-            f"version {FORMAT_VERSION} only")
+            f"version {expected} only")
     (crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(memoryview(data)[:-4]) != crc:
         raise DataFormatError(f"{path}: CRC-32 mismatch, the file is corrupted")
@@ -196,7 +198,7 @@ def _check_file(data: bytes, magic: bytes, header: int, path: str, what: str) ->
 def save_dataset_binary(ds: EmbeddingDataset, path: str) -> None:
     out = [
         DATASET_MAGIC,
-        struct.pack("<H", FORMAT_VERSION),
+        struct.pack("<H", DATASET_VERSION),
         struct.pack("<II", len(ds), ds.length),
         ds.values.astype("<f4").tobytes(),
         ds.labels.astype("<u4").tobytes(),
@@ -207,7 +209,7 @@ def save_dataset_binary(ds: EmbeddingDataset, path: str) -> None:
 def load_dataset_binary(path: str) -> EmbeddingDataset:
     with open(path, "rb") as f:
         data = f.read()
-    _check_file(data, DATASET_MAGIC, 14, path, "dataset")
+    _check_file(data, DATASET_MAGIC, DATASET_VERSION, 14, path, "dataset")
     n, d = struct.unpack_from("<II", data, 6)
     need = 14 + n * d * 4 + n * 4 + 4
     if len(data) != need:
@@ -544,7 +546,7 @@ def _pack_container(kind: str, config: dict, blobs: dict[str, bytes]) -> bytes:
 
 def _unpack_container(data: bytes, path: str = "<bytes>"):
     """(kind, config, blobs) of a container; each blob is a memoryview into ``data``."""
-    _check_file(data, MODEL_MAGIC, 11, path, "model")
+    _check_file(data, MODEL_MAGIC, FORMAT_VERSION, 11, path, "model")
     kind = _KIND_NAMES.get(data[6])
     if kind is None:
         raise DataFormatError(f"{path}: unknown model kind {data[6]}")
@@ -572,15 +574,19 @@ def _unpack_container(data: bytes, path: str = "<bytes>"):
 
 
 def _tally_blobs(model: HILModel) -> dict:
-    """A model's tallies: ``acc/{label}`` per class and its ``fusion``."""
+    """A model's ``acc/{label}`` tallies and, once trained, its packed ``vector``."""
     blobs = {f"acc/{lab}": model.class_accumulators[lab].state_bytes() for lab in model.labels()}
-    blobs["fusion"] = model._fusion.state_bytes()
+    if model.classification_vector is not None:
+        blobs["vector"] = model.classification_vector.words.astype("<u8").tobytes()
     return blobs
 
 
-def _load_tallies(model: HILModel, labels, blobs: dict) -> HILModel:
-    """Load the tallies :func:`_tally_blobs` wrote for ``labels`` into an untrained model."""
-    model._restore({int(lab): blobs[f"acc/{int(lab)}"] for lab in labels}, blobs["fusion"])
+def _load_tallies(model: HILModel, labels, blobs: dict, prefix: str) -> HILModel:
+    """Load what :func:`_tally_blobs` wrote for ``labels`` under ``prefix``
+    into an untrained model, popping each blob it reads."""
+    labels = [check_int("label", lab) for lab in labels]
+    vector = blobs.pop(f"{prefix}vector") if labels else None
+    model._restore({lab: blobs.pop(f"{prefix}acc/{lab}") for lab in labels}, vector)
     return model
 
 
@@ -595,13 +601,13 @@ def _hil_state(model: HILModel) -> tuple[dict, dict]:
 
 def _hil_restore(config: dict, blobs: dict) -> HILModel:
     enc_cfg = EncoderConfig(**config["encoder"])
-    registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
-    return _load_tallies(HILModel(enc_cfg, registry), config["labels"], blobs)
+    registry = ClassRegistry(config["registry_seed"], enc_cfg.dim)
+    return _load_tallies(HILModel(enc_cfg, registry), config["labels"], blobs, "")
 
 
 def _glue_state(glue: GlueModel) -> tuple[dict, dict]:
     members = []
-    blobs = {"fusion": glue._fusion.state_bytes()}
+    blobs = {}
     for name, m in glue.members.items():
         if m.hil is not None and m.vector is not m.hil.classification_vector:
             raise InvalidValueError(
@@ -629,29 +635,24 @@ def _glue_state(glue: GlueModel) -> tuple[dict, dict]:
     return config, blobs
 
 
-def _sub_blobs(blobs: dict, prefix: str) -> dict:
-    """The blobs named under ``prefix``, with the prefix stripped."""
-    return {k[len(prefix):]: v for k, v in blobs.items() if k.startswith(prefix)}
-
-
-def _glue_restore(config: dict, blobs: dict) -> GlueModel:
-    registry = ClassRegistry(int(config["registry_seed"]), int(config["dim"]))
-    glue = GlueModel(registry, seed=int(config["seed"]))
+def _glue_restore(config: dict, blobs: dict, prefix: str = "") -> GlueModel:
+    registry = ClassRegistry(config["registry_seed"], config["dim"])
+    glue = GlueModel(registry, seed=config["seed"])
     for entry in config["members"]:
-        index = int(entry["index"])
-        sub = _sub_blobs(blobs, f"member/{index}/")
-        labels = [int(c) for c in entry["labels"]]
+        index = check_int("index", entry["index"])
+        at = f"{prefix}member/{index}/"
+        labels = [check_int("label", c) for c in entry["labels"]]
         enc_cfg = EncoderConfig(**entry["encoder"])
         if entry["kind"] == "hil":
             # A member of another dim fails the registry's dim check.
-            hil = _load_tallies(HILModel(enc_cfg, registry), labels, sub)
+            hil = _load_tallies(HILModel(enc_cfg, registry), labels, blobs, at)
             encoder = fold_acc = None
         else:
             hil, encoder = None, SignalEncoder(enc_cfg)
-            fold_acc = glue._fold_tally(index, sub["fold"])
-        glue._seat(entry["name"], index, int(entry["weight"]), labels,
+            fold_acc = glue._fold_tally(index, blobs.pop(f"{at}fold"))
+        glue._seat(entry["name"], index, check_int("weight", entry["weight"]), labels,
                    hil, encoder, fold_acc, bool(entry["active"]))
-    glue._restore(int(config["next_index"]), blobs["fusion"])
+    glue._restore(check_int("next_index", config["next_index"]))
     return glue
 
 
@@ -681,29 +682,30 @@ def _fleet_state(fleet: ErrorFleet) -> tuple[dict, dict]:
 
 def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
     enc_cfg = EncoderConfig(**config["encoder"])
-    registry = ClassRegistry(int(config["registry_seed"]), enc_cfg.dim)
+    registry = ClassRegistry(config["registry_seed"], enc_cfg.dim)
     encoder = SignalEncoder(enc_cfg)
     rounds = []
     for i, entry in enumerate(config["rounds"]):
         hil = _load_tallies(HILModel(enc_cfg, registry, _encoder=encoder), entry["labels"],
-                            _sub_blobs(blobs, f"round/{i}/"))
-        subset, correct = int(entry["subset_size"]), int(entry["correct"])
+                            blobs, f"round/{i}/")
+        subset, correct = (check_int(k, entry[k]) for k in ("subset_size", "correct"))
         # Round 1 trains on every row, so its subset is the training set.
         n_total = subset if not rounds else rounds[0].subset_size
         rounds.append(FleetRound(
             hil, round_weight(subset / n_total, correct / subset), subset, correct,
-            int(entry["fleet_accuracy_millionths"]) / MILLION,
+            check_int("fleet_accuracy_millionths", entry["fleet_accuracy_millionths"]) / MILLION,
         ))
     if not rounds:
         raise DataFormatError("fleet file holds no rounds")
     # A blob that is no whole number of rows fails the reshape.
-    words = np.frombuffer(blobs["memory/words"], dtype="<u8").reshape(-1, num_words(enc_cfg.dim))
-    labels = np.frombuffer(blobs["memory/labels"], dtype="<i8")
+    words = np.frombuffer(blobs.pop("memory/words"), "<u8").reshape(-1, num_words(enc_cfg.dim))
+    labels = np.frombuffer(blobs.pop("memory/labels"), dtype="<i8")
     if len(labels) != len(words):
         raise DataFormatError(f"memory holds {len(words)} rows but {len(labels)} labels")
     return ErrorFleet(
-        rounds, int(config["glue_seed"]), check_words(words.astype(np.uint64), enc_cfg.dim),
-        labels.astype(np.int64), int(config["memory_threshold_millionths"]) / MILLION,
+        rounds, check_int("glue_seed", config["glue_seed"]),
+        check_words(words.astype(np.uint64), enc_cfg.dim), labels.astype(np.int64),
+        check_int("memory_threshold_millionths", config["memory_threshold_millionths"]) / MILLION,
     )
 
 
@@ -722,7 +724,7 @@ def _session_restore(config: dict, blobs: dict):
     from .online import OnlineConfig, OnlineSession, event_from_dict
 
     session = OnlineSession(OnlineConfig(**config["config"]))
-    session.glue = _glue_restore(config["glue"], _sub_blobs(blobs, "glue/"))
+    session.glue = _glue_restore(config["glue"], blobs, "glue/")
     for d in config["events"]:
         session._book(event_from_dict(d))
     session.history = config["history"]
@@ -752,13 +754,16 @@ def state_digest(obj) -> str:
 def model_from_bytes(data: bytes, path: str = "<bytes>"):
     kind, config, blobs = _unpack_container(data, path)
     try:
-        return _RESTORE[kind](config, blobs)
+        obj = _RESTORE[kind](config, blobs)  # pops each blob a field names
     except DataFormatError:
         raise
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError,
             ZeroDivisionError, HDGlueError) as e:
         # A missing field, a field of the wrong JSON type or a short blob.
         raise DataFormatError(f"{path}: malformed {kind} file: {e!r}") from e
+    if blobs:
+        raise DataFormatError(f"{path}: blobs that no field names: {sorted(blobs)}")
+    return obj
 
 
 def save_model(obj, path: str) -> None:

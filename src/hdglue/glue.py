@@ -2,9 +2,10 @@
 
 Each member model contributes one term: its symbolic model ID bound by XOR
 to its classification vector, weighted by its vote count. The weighted
-consensus of those terms is the glue vector. Because the underlying
-accumulator is exact, members can be added, removed, re-added, or updated
-in place and the counters land exactly where a fresh build would put them.
+consensus of those terms is the glue vector, read out of a fresh exact
+tally of the active members' terms whenever membership or a member
+changes, so members can be added, removed, re-added, or updated in place
+and the vector is the one a fresh build would give.
 
 Prediction unbinds one member at a time from the glue vector, scores the
 member's view of the query against the shared class IDs, and sums the
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .bundling import MILLION, ConsensusAccumulator, to_millionths
+from .bundling import MILLION, ConsensusAccumulator, check_room, to_millionths
 from .encoding import EncoderConfig
 from .errors import (
     DimensionMismatchError,
@@ -71,7 +72,6 @@ class GlueModel:
         self.seed = check_int("seed", seed)
         self.members: dict[str, GlueMember] = {}
         self._next_index = 0
-        self._fusion = ConsensusAccumulator(self.dim, SeedContext(self.seed, "tiebreak-glue", 0))
         self._glue_vector: Hypervector | None = None
 
     @classmethod
@@ -95,18 +95,19 @@ class GlueModel:
 
     @property
     def glue_vector(self) -> Hypervector:
-        """Readout of the fusion tally, cached until the tally changes."""
+        """Weighted majority of the active members' terms, each its model ID bound
+        to its vector; read out once per change of a member or the membership."""
         if self._glue_vector is None:
-            self._glue_vector = self._fusion.finalize()
+            tally = ConsensusAccumulator(self.dim, SeedContext(self.seed, "tiebreak-glue", 0))
+            for m in self.members.values():
+                if m.active and m.vector is not None:
+                    tally.add(m.model_id ^ m.vector, Fraction(m.weight, MILLION))
+            self._glue_vector = tally.finalize()
         return self._glue_vector
 
-    def _term(self, member: GlueMember, sign: int) -> None:
-        """Add (``sign`` 1) or withdraw (-1) a member's term, its model ID bound
-        to its vector at its weight; a member with no vector yet has no term."""
-        if member.vector is not None:
-            fusion = self._fusion.add if sign > 0 else self._fusion.sub
-            fusion(member.model_id ^ member.vector, Fraction(member.weight, MILLION))
-            self._glue_vector = None
+    def _check_room(self, extra: int) -> None:
+        """Refuse raising the active members' total weight by ``extra`` to the cap."""
+        check_room(sum(m.weight for m in self.members.values() if m.active), extra)
 
     def active_names(self) -> list[str]:
         return [m.name for m in self.members.values() if m.active]
@@ -126,7 +127,7 @@ class GlueModel:
         ``add_model(None, name=...)`` is how it is re-added.
         """
         weight = to_millionths(weight)  # a refused weight changes nothing
-        self._fusion._check_room(weight)  # nor does one the fusion tally cannot hold
+        self._check_room(weight)  # nor does one the glue's tally cannot hold
         if name is not None and name in self.members:
             member = self.members[name]
             if member.active:
@@ -137,8 +138,8 @@ class GlueModel:
             if model is not None:  # the model may have trained while removed
                 member.vector = model.classification_vector
                 member.labels = set(model.labels())
-            self._term(member, 1)
             member.active = True
+            self._glue_vector = None
             return name
         if not isinstance(model, HILModel):
             raise InvalidValueError(f"expected a HILModel, got {type(model).__name__}")
@@ -150,9 +151,8 @@ class GlueModel:
             name = f"m{self._next_index}"
         if name in self.members:
             raise InvalidValueError(f"member name {name!r} already taken")
-        member = self._seat(name, self._next_index, weight, model.labels(), hil=model)
+        self._seat(name, self._next_index, weight, model.labels(), hil=model)
         self._next_index += 1
-        self._term(member, 1)
         return name
 
     def remove_model(self, name: str) -> None:
@@ -162,23 +162,20 @@ class GlueModel:
             raise InvalidValueError(f"member {name!r} already removed")
         if sum(m.active for m in self.members.values()) == 1:
             raise InvalidValueError("cannot remove the only active member")
-        self._term(member, -1)
         member.active = False
+        self._glue_vector = None
 
     def update_member(self, name: str, rows, labels) -> None:
-        """Feed examples to a live member and swap its term in place."""
+        """Feed examples to a live member and re-read its term."""
         member = self.member(name)
         if not member.active:
             raise InvalidValueError(f"member {name!r} is removed")
         if member.hil is None:
             raise InvalidValueError(f"member {name!r} is a folded composite, cannot update")
-        if member.vector is None:
-            self._fusion._check_room(member.weight)  # its first term must fit
         member.hil.update(rows, labels)
-        self._term(member, -1)
         member.vector = member.hil.classification_vector
-        self._term(member, 1)
         member.labels = set(member.hil.labels())
+        self._glue_vector = None
 
     def compress(self, names, new_weight, name: str | None = None) -> str:
         """Fold several members into one composite seat.
@@ -208,7 +205,7 @@ class GlueModel:
         if name in self.members and name not in names:
             raise InvalidValueError(f"member name {name!r} already taken")
 
-        self._fusion._check_room(weight - sum(m.weight for m in picked))
+        self._check_room(weight - sum(m.weight for m in picked))
         fold_acc = self._fold_tally(index)
         for member in picked:
             if member.fold_acc is not None:
@@ -223,11 +220,9 @@ class GlueModel:
         designated = min(picked, key=lambda m: (-m.weight, order[m.name]))
 
         for member in picked:
-            self._term(member, -1)
             del self.members[member.name]
-        composite = self._seat(name, index, weight, set().union(*(m.labels for m in picked)),
-                               encoder=designated.encoder, fold_acc=fold_acc)
-        self._term(composite, 1)
+        self._seat(name, index, weight, set().union(*(m.labels for m in picked)),
+                   encoder=designated.encoder, fold_acc=fold_acc)
         return name
 
     def _fold_tally(self, index: int, state: bytes | None = None) -> ConsensusAccumulator:
@@ -238,20 +233,21 @@ class GlueModel:
         return acc
 
     def _seat(self, name, index, weight, labels, hil=None, encoder=None, fold_acc=None,
-              active=True) -> GlueMember:
+              active=True) -> None:
         """Seat a member model, or a composite's ``fold_acc``, under its seeded
-        model ID; the caller adds its term to the fusion tally."""
+        model ID; the glue vector is read again on its next use."""
         vector = hil.classification_vector if fold_acc is None else fold_acc.finalize()
         member = self.members[name] = GlueMember(
             name, index, random_hv(SeedContext(self.seed, "model", index), self.dim),
             hil.encoder if encoder is None else encoder, hil, vector, weight, labels, fold_acc)
         member.active = active
-        return member
+        self._glue_vector = None
 
-    def _restore(self, next_index: int, fusion_state: bytes) -> None:
-        """Finish loading a stored glue whose seats are in place: the fusion tally."""
+    def _restore(self, next_index: int) -> None:
+        """Finish loading a stored glue whose seats are in place: read its
+        vector, which also refuses a weight the tally cannot take."""
         self._next_index = next_index
-        self._fusion.load_state_bytes(fusion_state)
+        self.glue_vector
 
     # -- prediction ------------------------------------------------------
 
@@ -557,6 +553,7 @@ def fleet_correct(
         raise InvalidValueError("max_rounds must be at least 1")
     if not 0.0 < memory_threshold <= 1.0:
         raise InvalidValueError("memory_threshold must lie in (0, 1]")
+    glue_seed = check_int("glue_seed", glue_seed)
     for lab in labels:
         registry.id_for(lab)  # rejects non-integer and negative labels
     y = np.asarray([int(l) for l in labels], dtype=np.int64)

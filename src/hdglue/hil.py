@@ -2,8 +2,9 @@
 
 Each class keeps an exact vote accumulator over the encoded examples seen
 for it; its bundle is the accumulator's majority readout. The bundles are
-bound to symbolic class IDs and fused into a single classification vector
-by a second accumulator. Because every stage is an exact tally, feeding
+bound to symbolic class IDs, and the classification vector is the majority
+of those terms, re-read whenever a class moves. Because each class tally
+is exact and the vector is derived from the tallies alone, feeding
 examples one at a time, in any order, lands on the same model bit for bit
 as one batch call.
 
@@ -19,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _kernels
-from .bundling import ConsensusAccumulator
+from .bundling import ConsensusAccumulator, majority
 from .encoding import EncoderConfig, SignalEncoder
 from .errors import (
     DimensionMismatchError,
@@ -75,9 +76,9 @@ class ClassRegistry:
 class HILModel:
     """One trained classifier over encoded signal vectors.
 
-    State is a per-class accumulator plus a fusion accumulator of
-    ID-bound class bundles; ``classification_vector`` is the fusion
-    readout and the only piece another model ever needs at fusion time.
+    State is a per-class accumulator; ``classification_vector`` is the
+    majority of the ID-bound class bundles and the only piece another model
+    ever needs at fusion time.
     """
 
     def __init__(self, config: EncoderConfig, registry: ClassRegistry, *,
@@ -92,9 +93,6 @@ class HILModel:
         self.encoder = SignalEncoder(config) if _encoder is None else _encoder
         self.class_accumulators: dict[int, ConsensusAccumulator] = {}
         self._bundles: dict[int, Hypervector] = {}
-        self._fusion = ConsensusAccumulator(
-            config.dim, SeedContext(config.seed, "tiebreak-fusion", 0)
-        )
         self.classification_vector: Hypervector | None = None
 
     # -- training --------------------------------------------------------
@@ -126,8 +124,8 @@ class HILModel:
 
     def _fold(self, n_rows: int, labels, tally) -> None:
         """Add n checked rows under ``labels``: ``tally(acc, idx)`` moves a
-        class tally by the rows at ``idx``; then re-seat each class's fusion
-        term and read out the classification vector."""
+        class tally by the rows at ``idx``; then re-read each moved class's
+        bundle and the classification vector."""
         # Validate every row and label before the first counter moves.
         if n_rows != len(labels):
             raise InvalidValueError(f"{n_rows} rows vs {len(labels)} labels")
@@ -137,18 +135,13 @@ class HILModel:
             rows_of.setdefault(int(lab), []).append(i)
         if not rows_of:
             return
-        # Each trained class's old bundle, taken before its tally moves.
-        old = {lab: self._bundle(lab) for lab in rows_of if lab in self.class_accumulators}
         for lab, idx in rows_of.items():
             tally(self._class_tally(lab), idx)
-        # A class's fusion term is its ID bound to its bundle.
-        for lab in sorted(rows_of):
-            class_id = self.registry.id_for(lab)
-            if lab in old:
-                self._fusion.sub(class_id ^ old[lab], 1)
-            bundle = self._bundles[lab] = self.class_accumulators[lab].finalize()
-            self._fusion.add(class_id ^ bundle, 1)
-        self.classification_vector = self._fusion.finalize()
+            self._bundles.pop(lab, None)  # read out again below
+        # A class's term is its ID bound to its bundle.
+        self.classification_vector = majority(
+            [self.registry.id_for(lab) ^ self._bundle(lab) for lab in self.labels()],
+            random_hv(SeedContext(self.config.seed, "tiebreak-fusion", 0), self.config.dim))
 
     def _class_tally(self, lab: int) -> ConsensusAccumulator:
         """Class ``lab``'s tally, seated empty on first use."""
@@ -158,17 +151,17 @@ class HILModel:
                 self.config.dim, SeedContext(self.config.seed, "tiebreak-class", lab))
         return acc
 
-    def _restore(self, class_states: dict[int, bytes], fusion_state: bytes) -> None:
-        """Load stored tallies into this untrained model and read out its
-        classification vector; each class bundle waits for its first reader."""
+    def _restore(self, class_states: dict[int, bytes], vector: bytes | None) -> None:
+        """Load stored tallies and the packed classification vector, if trained,
+        into this untrained model; each class bundle waits for its first reader."""
         for lab, state in class_states.items():
             self._class_tally(lab).load_state_bytes(state)
-        self._fusion.load_state_bytes(fusion_state)
-        if class_states:
-            self.classification_vector = self._fusion.finalize()
+        if vector is not None:
+            words = np.frombuffer(vector, dtype="<u8")
+            self.classification_vector = Hypervector.from_words(self.config.dim, words)
 
     def _bundle(self, lab: int) -> Hypervector:
-        """Class ``lab``'s bundle, read out of its tally on first use after a load."""
+        """Class ``lab``'s bundle, read out of its tally on first use after a load or an update."""
         bundle = self._bundles.get(lab)
         if bundle is None:
             bundle = self._bundles[lab] = self.class_accumulators[lab].finalize()

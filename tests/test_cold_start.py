@@ -101,7 +101,8 @@ def finalized(monkeypatch):
     return calls
 
 
-def test_a_cold_fleet_query_reads_out_only_the_fusion_tallies(finalized):
+def test_a_cold_fleet_query_reads_out_no_tally(finalized):
+    # Each round's classification vector is stored, so nothing is read out.
     spec = default_spec(0, signature_size=32, noise=2.2)
     train = spec.dataset("train", 40)
     cfg = EncoderConfig(length=spec.length, dim=1024, num_levels=17, seed=0)
@@ -112,7 +113,7 @@ def test_a_cold_fleet_query_reads_out_only_the_fusion_tallies(finalized):
     query = spec.dataset("test", 1).values[0]
     finalized.clear()
     cold = model_from_bytes(blob).predict(query)
-    assert finalized == ["tiebreak-fusion"] * 4
+    assert finalized == []
     assert cold == fleet.predict(query)
 
 
@@ -153,8 +154,10 @@ def test_a_loaded_model_trains_on_to_the_live_model(finalized):
     live_calls = list(finalized)
     finalized.clear()
     loaded.update(*more)
-    # The loaded model reads class 1's old bundle out of its tally first.
-    assert sorted(finalized) == sorted(live_calls + ["tiebreak-class"])
+    # Both read out the moved classes 1 and 5. The loaded model also reads
+    # the untouched classes 0 and 2 out of their tallies, for their terms.
+    assert sorted(live_calls) == ["tiebreak-class"] * 2
+    assert sorted(finalized) == ["tiebreak-class"] * 4
     assert loaded.state_digest() == live.state_digest()
     assert loaded.classification_vector == live.classification_vector
     assert loaded.class_bundles == live.class_bundles
@@ -163,10 +166,11 @@ def test_a_loaded_model_trains_on_to_the_live_model(finalized):
 def test_training_reads_each_touched_class_once(finalized):
     spec, cfg, registry = hil_task()
     model = HILModel.train(*examples(spec, [0, 1, 2], range(5)), cfg, registry)
-    assert sorted(finalized) == ["tiebreak-class"] * 3 + ["tiebreak-fusion"]
+    # The classification vector is a majority of the class terms: no tally.
+    assert sorted(finalized) == ["tiebreak-class"] * 3
     finalized.clear()
     model.update(*examples(spec, [2], range(5, 7)))
-    assert sorted(finalized) == ["tiebreak-class", "tiebreak-fusion"]
+    assert finalized == ["tiebreak-class"]
 
 
 def test_a_loaded_glue_member_trains_on_to_the_live_member():

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from hdglue import (
     ClassRegistry,
     DataFormatError,
+    DimensionMismatchError,
     EncoderConfig,
     GlueModel,
     HILModel,
+    InvalidDimensionError,
     InvalidValueError,
 )
 from hdglue import bundling, data_io
@@ -334,11 +336,14 @@ def test_state_digest_is_the_hash_of_the_container_bytes():
 # equal files, so these pin the bits of training, fusion, correction and the
 # online replay, and the bytes of the container. A change to the file format
 # must update them and say why; any other change must leave them alone.
+# Format v3 moved all four: a model stores its packed classification vector
+# and no fusion tally, and a glue stores no fusion tally. Every class tally,
+# classification vector, glue vector, weight and history stayed the same.
 GOLDEN_DIGESTS = {
-    "hil": "c5727a962f7ce43fd7a04d66db715e7b",
-    "glue": "1a78e4922e10bc6dcdb1890d66f90905",
-    "fleet": "aa58d192cb3965f41a0fc01d95187051",
-    "session": "cabbf9a5180a45c065500cd57e790622",
+    "hil": "5caf0ae7a44d56f9ab3fc8f23cf6d123",
+    "glue": "c4c93c14fb6912c29e81107ee43dfe1e",
+    "fleet": "1d3de12edebafbad8960bcdb2b2a445c",
+    "session": "ca41d3a78e34ff0ffb1c30752efb31cb",
 }
 
 
@@ -377,8 +382,8 @@ def test_loaded_hil_predicts_identically_on_random_queries():
 
 
 def test_loaded_hil_trains_on_like_the_original():
-    # Class bundles are rebuilt on load: further training subtracts each
-    # class's old fusion term, built from them.
+    # Class bundles are read out of the loaded tallies on first use: further
+    # training re-reads the classification vector from every class's term.
     model = trained_hil()
     loaded = model_from_bytes(model_to_bytes(model))
     rows = np.random.default_rng(8).normal(0.0, 2.0, size=(20, 32))
@@ -452,7 +457,9 @@ def test_glue_refuses_to_save_a_member_trained_outside_it():
 
 def test_load_draws_each_tiebreak_once(monkeypatch):
     # A loaded tally goes into the accumulator its model already holds, so
-    # no tiebreak vector is drawn a second time for a throwaway copy.
+    # no tiebreak vector is drawn a second time for a throwaway copy. A model
+    # load reads out nothing, its classification vector being stored; a glue
+    # load reads out its fold tallies and its glue vector.
     draws = collections.Counter()
     original = bundling.random_hv
 
@@ -468,7 +475,9 @@ def test_load_draws_each_tiebreak_once(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(bundling, "random_hv", counted)
             model_from_bytes(blob)
-        assert draws and max(draws.values()) == 1, draws.most_common(3)
+        assert max(draws.values(), default=1) == 1, draws.most_common(3)
+        assert sorted({ctx.namespace for ctx in draws}) == (
+            [] if obj is not glue else ["tiebreak-fold", "tiebreak-glue"])
 
 
 def test_container_rejects_corruption():
@@ -498,9 +507,24 @@ def test_version_1_files_are_refused_by_their_version(tmp_path):
         load_dataset_binary(str(path))
 
 
+def test_version_2_model_files_are_refused_by_their_version():
+    blob = model_to_bytes(trained_hil())
+    with pytest.raises(DataFormatError, match="version 2 is not supported"):
+        model_from_bytes(blob[:4] + struct.pack("<H", 2) + blob[6:])
+
+
+def test_model_files_store_vectors_and_no_fusion_tally():
+    hil = trained_hil()
+    _, _, blobs = data_io._unpack_container(model_to_bytes(hil))
+    assert set(blobs) == {f"acc/{c}" for c in hil.labels()} | {"vector"}
+    assert bytes(blobs["vector"]) == hil.classification_vector.words.astype("<u8").tobytes()
+    for kind in ("fleet", "session"):
+        assert not any(name.endswith("fusion") for name in _container(kind)[2])
+
+
 def test_container_rejects_undecodable_blob_name():
     blob = model_to_bytes(trained_hil())
-    at = blob.index(b"fusion")
+    at = blob.index(b"vector")
     flipped = blob[:at] + bytes([blob[at] ^ 0x80]) + blob[at + 1 : -4]
     with pytest.raises(DataFormatError, match="can't decode"):
         model_from_bytes(data_io._with_crc([flipped]))  # a fresh trailer: the name check decides
@@ -526,8 +550,27 @@ def _container(kind):
     return data_io._unpack_container(model_to_bytes(obj))
 
 
-def _pop_fusion(config, blobs):
-    del blobs["fusion"]
+def _pop_vector(config, blobs):
+    del blobs["vector"]
+
+
+def _extra_blob(name):
+    """Edit: a blob ``name`` that no config field names, holding a copy of a
+    class tally."""
+    def edit(config, blobs):
+        assert name not in blobs
+        blobs[name] = next(v for k, v in blobs.items() if "acc/" in k)
+    return edit
+
+
+def _fractional(*path):
+    """Edit: the integer config field at ``path`` plus one half."""
+    def edit(config, blobs):
+        *outer, last = path
+        for key in outer:
+            config = config[key]
+        config[last] += 0.5
+    return edit
 
 
 def _extra_memory_label(config, blobs):
@@ -541,7 +584,7 @@ def _short_memory_row(config, blobs):
 
 
 # Each edit is re-packed behind a fresh trailer, so it reaches the restore
-# checks. Each raises DataFormatError, chained to the builtin error named
+# checks. Each raises DataFormatError, chained to the error named
 # with it; NoneType marks a check that raises DataFormatError itself. The
 # hil edits once leaked their builtin errors.
 MALFORMED = [
@@ -549,9 +592,41 @@ MALFORMED = [
     pytest.param("hil", lambda c, b: c.pop("encoder"), KeyError, id="hil-no-encoder"),
     pytest.param("hil", lambda c, b: c.pop("registry_seed"), KeyError, id="hil-no-registry"),
     pytest.param("hil", lambda c, b: c.update(labels="ab"), ValueError, id="hil-text-labels"),
-    pytest.param("hil", _pop_fusion, KeyError, id="hil-no-fusion"),
-    pytest.param("hil", lambda c, b: c.update(registry_seed=float("inf")), OverflowError,
+    pytest.param("hil", _pop_vector, KeyError, id="hil-no-vector"),
+    pytest.param("hil", lambda c, b: b.update(vector=bytes(b["vector"])[:-8]),
+                 DimensionMismatchError, id="hil-short-vector"),
+    pytest.param("hil", lambda c, b: c.update(registry_seed=float("inf")), InvalidValueError,
                  id="hil-infinite-seed"),
+    pytest.param("hil", lambda c, b: c.update(registry_seed=5.9), InvalidValueError,
+                 id="hil-fractional-seed"),
+    pytest.param("hil", _extra_blob("acc/17"), type(None), id="hil-unnamed-class-tally"),
+    pytest.param("hil", _extra_blob("junk"), type(None), id="hil-junk-blob"),
+    pytest.param("hil", _extra_blob("fusion"), type(None), id="hil-leftover-fusion"),
+    pytest.param("fleet", _extra_blob("round/0/fusion"), type(None), id="fleet-leftover-fusion"),
+    pytest.param("session", _extra_blob("glue/fusion"), type(None), id="session-leftover-fusion"),
+    pytest.param("session", _fractional("glue", "seed"), InvalidValueError, id="glue-seed"),
+    pytest.param("session", _fractional("glue", "dim"), InvalidDimensionError, id="glue-dim"),
+    pytest.param("session", _fractional("glue", "registry_seed"), InvalidValueError,
+                 id="glue-registry-seed"),
+    pytest.param("session", _fractional("glue", "next_index"), InvalidValueError,
+                 id="glue-next-index"),
+    pytest.param("session", _fractional("glue", "members", 0, "index"), InvalidValueError,
+                 id="member-index"),
+    pytest.param("session", _fractional("glue", "members", 0, "weight"), InvalidValueError,
+                 id="member-weight"),
+    pytest.param("session", _fractional("glue", "members", 0, "labels", 0), InvalidValueError,
+                 id="member-label"),
+    pytest.param("fleet", _fractional("registry_seed"), InvalidValueError,
+                 id="fleet-registry-seed"),
+    pytest.param("fleet", _fractional("rounds", 0, "subset_size"), InvalidValueError,
+                 id="fleet-subset-size"),
+    pytest.param("fleet", _fractional("rounds", 0, "correct"), InvalidValueError,
+                 id="fleet-correct"),
+    pytest.param("fleet", _fractional("rounds", 0, "fleet_accuracy_millionths"),
+                 InvalidValueError, id="fleet-accuracy"),
+    pytest.param("fleet", _fractional("memory_threshold_millionths"), InvalidValueError,
+                 id="fleet-memory-threshold"),
+    pytest.param("fleet", _fractional("glue_seed"), InvalidValueError, id="fleet-glue-seed"),
     pytest.param("fleet", _extra_memory_label, type(None), id="fleet-memory-overcount"),
     pytest.param("fleet", _short_memory_row, ValueError, id="fleet-short-memory-row"),
     pytest.param("session", lambda c, b: c["events"].insert(0, ["observe", 1]), AttributeError,

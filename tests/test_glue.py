@@ -25,6 +25,8 @@ from hdglue.data_io import (
     two_cluster_spec,
 )
 
+import readouts
+
 DIM10K = 10_000
 
 
@@ -306,7 +308,7 @@ def test_cached_glue_vector_follows_every_change_of_the_tally():
     def fresh():
         # read twice: the second read is served from the cache
         assert glue.glue_vector is glue.glue_vector
-        assert glue.glue_vector == glue._fusion.finalize()
+        assert glue.glue_vector == readouts.glue_tally(glue).finalize()
 
     for i, model in enumerate(members):
         glue.add_model(model, weight=1.0 + i / 4, name=f"m{i}")
@@ -326,7 +328,7 @@ def test_cached_glue_vector_follows_every_change_of_the_tally():
     fresh()
     data = model_to_bytes(glue)
     loaded = model_from_bytes(data)
-    assert loaded.glue_vector == loaded._fusion.finalize() == glue.glue_vector
+    assert loaded.glue_vector == readouts.glue_tally(loaded).finalize() == glue.glue_vector
     assert model_to_bytes(loaded) == data
 
 
@@ -579,6 +581,20 @@ def test_refused_add_leaves_the_glue_byte_identical():
     assert model_to_bytes(glue) == model_to_bytes(clean)
 
 
+def test_the_weight_cap_counts_members_not_yet_trained():
+    # An untrained member has no term yet, but its weight is held for its first one.
+    spec, registry, model = small_pair()
+    glue = GlueModel(registry)
+    glue.add_model(HILModel(model.config, registry), weight=3e12, name="blank")
+    before = model_to_bytes(glue)
+    with pytest.raises(InvalidValueError, match="cap"):
+        glue.add_model(model, weight=2e12)
+    assert model_to_bytes(glue) == before
+    glue.add_model(model, weight=1e12)
+    glue.update_member("blank", spec.batch("train", 0, range(3)), [0, 0, 0])
+    assert glue.glue_vector == readouts.glue_tally(glue).finalize()
+
+
 def test_fusion_total_is_the_sum_of_active_member_weights():
     # 4e12 votes is 4e18 millionths: exact as an int, a millionth off through a float.
     dim = 512
@@ -590,9 +606,11 @@ def test_fusion_total_is_the_sum_of_active_member_weights():
 
     def check():
         active = sum(m.weight for m in glue.members.values() if m.active)
-        assert glue._fusion.total_weight == active
         loaded = model_from_bytes(model_to_bytes(glue))
-        assert loaded._fusion.total_weight == active
+        for g in (glue, loaded):
+            tally = readouts.glue_tally(g)
+            assert tally.total_weight == active
+            assert g.glue_vector == tally.finalize()
 
     glue.add_model(members[0], weight=heavy)
     glue.add_model(members[1], weight=3)

@@ -29,7 +29,7 @@ from hdglue.data_io import (
 )
 from hdglue.encoding import EncoderConfig
 from hdglue.errors import DataFormatError, InvalidValueError
-from hdglue.glue import GlueModel
+from hdglue.glue import GlueModel, fleet_correct
 from hdglue.hil import ClassRegistry, HILModel
 from hdglue.hv import Hypervector, SeedContext
 from hdglue.online import AddModel, Observe, OnlineConfig, OnlineSession, schedule_from_json
@@ -141,7 +141,14 @@ CONFIG_CASES = [
     pytest.param(lambda: ClassRegistry("x", 256), id="registry-text-seed-TypeError-later"),
     pytest.param(lambda: GlueModel(ClassRegistry(0, 256), seed=1.5),
                  id="glue-seed-1.5-TypeError-later"),
+    pytest.param(lambda: _fleet(glue_seed="x"), id="fleet-glue-seed-text-refused-on-load"),
+    pytest.param(lambda: _fleet(glue_seed=2.7), id="fleet-glue-seed-2.7-resaved-as-2"),
 ]
+
+
+def _fleet(**kwargs):
+    return fleet_correct(np.zeros((2, 4)), [0, 1], EncoderConfig(length=4, dim=256),
+                         ClassRegistry(0, 256), **kwargs)
 
 
 @pytest.mark.parametrize("make", CONFIG_CASES)

@@ -8,6 +8,9 @@ round trips keeps two invariants:
   weight it holds now, and the removed seats removed at the end;
 - a refused step raises a typed ``HDGlueError`` and changes no byte of the
   model file.
+
+After every step the glue vector and each member's classification vector
+also equal their references, rebuilt from the tallies (``readouts``).
 """
 
 import math
@@ -19,6 +22,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from hdglue import ClassRegistry, EncoderConfig, GlueModel, HDGlueError, HILModel
 from hdglue.data_io import model_from_bytes, model_to_bytes, specialist_specs
+
+import readouts
 
 DIM = 256
 GLUE_SEED = 5
@@ -37,7 +42,14 @@ def _chunk(spec, j):
     return rows, [c for c in classes for _ in range(3)]
 
 
-CHUNKS = [[_chunk(spec, j) for j in range(3)] for spec in SPECS]
+def _one_class(spec):
+    """Three training rows of class 5 alone, so members hold odd as well as
+    even numbers of classes; with an even number, the classification
+    vector's tied bits come from its tiebreak."""
+    return spec.batch("train", 5, range(9, 12)), [5] * 3
+
+
+CHUNKS = [[_chunk(spec, j) for j in range(3)] + [_one_class(spec)] for spec in SPECS]
 # A model that no seat holds.
 STRANGER = HILModel(
     EncoderConfig(length=SPECS[0].length, dim=DIM, num_levels=9, seed=SPECS[0].seed), REGISTRY
@@ -144,7 +156,7 @@ class MembershipMachine(RuleBasedStateMachine):
             seat.active = True
             seat.weight = weight
 
-    @rule(data=st.data(), source=st.integers(0, 2), chunk=st.integers(0, 2),
+    @rule(data=st.data(), source=st.integers(0, 2), chunk=st.integers(0, 3),
           float_labels=st.booleans())
     def update(self, data, source, chunk, float_labels):
         name = self.pick_name(data)
@@ -187,6 +199,14 @@ class MembershipMachine(RuleBasedStateMachine):
         assert fresh.state_digest() == self.glue.state_digest()
         assert fresh.glue_vector == self.glue.glue_vector
         assert model_to_bytes(fresh) == model_to_bytes(self.glue)
+
+    @invariant()
+    def readouts_match_their_references(self):
+        assert self.glue.glue_vector == readouts.glue_tally(self.glue).finalize()
+        for member in self.glue.members.values():
+            if member.hil is not None and member.hil.labels():
+                vector = member.hil.classification_vector
+                assert vector == member.vector == readouts.classification_vector(member.hil)
 
 
 TestMembership = MembershipMachine.TestCase
