@@ -26,10 +26,11 @@ import struct
 import tempfile
 import zlib
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .bundling import MILLION
+from .bundling import MILLION, to_millionths
 from .encoding import EncoderConfig, SignalEncoder
 from .errors import DataFormatError, HDGlueError, InvalidValueError
 from .glue import ErrorFleet, FleetRound, GlueModel, round_weight
@@ -88,7 +89,6 @@ class EmbeddingDataset:
 
     values: np.ndarray
     labels: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
@@ -164,7 +164,7 @@ def load_dataset_csv(path: str) -> EmbeddingDataset:
         if not all(np.isfinite(values[-1])):
             raise DataFormatError(f"{path}:{lineno}: non-finite value")
     arr = np.asarray(values, dtype=np.float32) if values else np.empty((0, d), dtype=np.float32)
-    return EmbeddingDataset(arr, np.asarray(labels, dtype=np.int64), provenance=path)
+    return EmbeddingDataset(arr, np.asarray(labels, dtype=np.int64))
 
 
 def _with_crc(parts: list) -> bytes:
@@ -216,7 +216,7 @@ def load_dataset_binary(path: str) -> EmbeddingDataset:
         raise DataFormatError(f"{path}: expected {need} bytes, found {len(data)}")
     values = np.frombuffer(data, dtype="<f4", count=n * d, offset=14).reshape(n, d)
     labels = np.frombuffer(data, dtype="<u4", count=n, offset=14 + n * d * 4)
-    return EmbeddingDataset(values.copy(), labels.astype(np.int64), provenance=path)
+    return EmbeddingDataset(values.copy(), labels.astype(np.int64))
 
 
 # -- synthetic sources ---------------------------------------------------
@@ -406,10 +406,7 @@ class SyntheticNetworkSpec:
         for c in self.classes:
             rows.append(self.batch(split, c, range(start_id, start_id + per_class)))
             labels.extend([c] * per_class)
-        return EmbeddingDataset(
-            np.vstack(rows), np.asarray(labels, dtype=np.int64),
-            provenance=f"synthetic:{self.content_hash()}:{split}",
-        )
+        return EmbeddingDataset(np.vstack(rows), np.asarray(labels, dtype=np.int64))
 
     def to_json_dict(self) -> dict:
         return {
@@ -424,9 +421,12 @@ class SyntheticNetworkSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SyntheticNetworkSpec":
         try:
-            return cls(**d)
+            spec = cls(**d)
         except (TypeError, ValueError, HDGlueError) as e:
             raise DataFormatError(f"bad source spec: {e}") from None
+        if [c for c, _ in d.get("specialization", ())] != [c for c, _ in spec.specialization]:
+            raise DataFormatError("bad source spec: specialization classes not increasing")
+        return spec
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -609,11 +609,6 @@ def _glue_state(glue: GlueModel) -> tuple[dict, dict]:
     members = []
     blobs = {}
     for name, m in glue.members.items():
-        if m.hil is not None and m.vector is not m.hil.classification_vector:
-            raise InvalidValueError(
-                f"member {name!r} was trained outside the glue, so its term no longer "
-                f"matches its model; re-seat it with update_member({name!r}, [], []) "
-                f"before saving")
         members.append({
             "name": name,
             "index": m.index,
@@ -643,16 +638,24 @@ def _glue_restore(config: dict, blobs: dict, prefix: str = "") -> GlueModel:
         at = f"{prefix}member/{index}/"
         labels = [check_int("label", c) for c in entry["labels"]]
         enc_cfg = EncoderConfig(**entry["encoder"])
+        # A seat's weight passes the checks a live add makes.
+        weight = to_millionths(Fraction(check_int("weight", entry["weight"]), MILLION))
+        active = entry["active"]
+        if not isinstance(active, bool):
+            raise DataFormatError(f"member {entry['name']!r}: active is {active!r}, not a bool")
+        if active:
+            glue._check_room(weight)
         if entry["kind"] == "hil":
             # A member of another dim fails the registry's dim check.
             hil = _load_tallies(HILModel(enc_cfg, registry), labels, blobs, at)
             encoder = fold_acc = None
         else:
+            if labels != sorted(set(labels)):  # a composite's label set is written sorted
+                raise DataFormatError(f"member {entry['name']!r}: labels {labels} out of order")
             hil, encoder = None, SignalEncoder(enc_cfg)
             fold_acc = glue._fold_tally(index, blobs.pop(f"{at}fold"))
-        glue._seat(entry["name"], index, check_int("weight", entry["weight"]), labels,
-                   hil, encoder, fold_acc, bool(entry["active"]))
-    glue._restore(check_int("next_index", config["next_index"]))
+        glue._seat(entry["name"], index, weight, hil, encoder, fold_acc, labels, active)
+    glue._next_index = check_int("next_index", config["next_index"])
     return glue
 
 
@@ -688,13 +691,15 @@ def _fleet_restore(config: dict, blobs: dict) -> ErrorFleet:
     for i, entry in enumerate(config["rounds"]):
         hil = _load_tallies(HILModel(enc_cfg, registry, _encoder=encoder), entry["labels"],
                             blobs, f"round/{i}/")
-        subset, correct = (check_int(k, entry[k]) for k in ("subset_size", "correct"))
+        subset, correct, accuracy = (check_int(k, entry[k]) for k in (
+            "subset_size", "correct", "fleet_accuracy_millionths"))
+        if not 0 <= accuracy <= MILLION:
+            raise DataFormatError(f"fleet accuracy of {accuracy} millionths is no fraction")
         # Round 1 trains on every row, so its subset is the training set.
         n_total = subset if not rounds else rounds[0].subset_size
         rounds.append(FleetRound(
             hil, round_weight(subset / n_total, correct / subset), subset, correct,
-            check_int("fleet_accuracy_millionths", entry["fleet_accuracy_millionths"]) / MILLION,
-        ))
+            accuracy / MILLION))
     if not rounds:
         raise DataFormatError("fleet file holds no rounds")
     # A blob that is no whole number of rows fails the reshape.

@@ -1,11 +1,12 @@
 """Fusing many trained models into one consensus hypervector.
 
 Each member model contributes one term: its symbolic model ID bound by XOR
-to its classification vector, weighted by its vote count. The weighted
-consensus of those terms is the glue vector, read out of a fresh exact
-tally of the active members' terms whenever membership or a member
-changes, so members can be added, removed, re-added, or updated in place
-and the vector is the one a fresh build would give.
+to its model's current classification vector, weighted by its vote count.
+The weighted consensus of those terms is the glue vector, read out of a
+fresh exact tally of the active members' terms whenever a term or weight
+differs from the ones it last read. Members can be added, removed,
+re-added, or trained in place, through the glue or outside it, and the
+vector is the one a fresh build would give.
 
 Prediction unbinds one member at a time from the glue vector, scores the
 member's view of the query against the shared class IDs, and sums the
@@ -40,23 +41,36 @@ __all__ = ["ErrorFleet", "FleetRound", "GlueMember", "GlueModel", "fleet_correct
 
 
 class GlueMember:
-    """One model's seat in the glue: identity, weight, and current vector."""
+    """One model's seat in the glue: identity, weight, and where its term comes from.
 
-    __slots__ = ("name", "index", "model_id", "encoder", "hil", "vector", "weight", "active",
-                 "labels", "fold_acc")
+    A model seat's vector and labels are its model's current ones, read on
+    each use. A folded composite has no model: it keeps its fold tally's
+    readout and the union of the folded members' labels.
+    """
 
-    def __init__(self, name, index, model_id, encoder, hil, vector, weight, labels,
-                 fold_acc=None):
+    __slots__ = ("name", "index", "model_id", "encoder", "hil", "weight", "active", "fold_acc",
+                 "_fold_vector", "_fold_labels")
+
+    def __init__(self, name, index, model_id, encoder, hil, weight, active, fold_acc=None,
+                 labels=()):
         self.name = name
         self.index = index
         self.model_id = model_id
         self.encoder = encoder
         self.hil = hil
-        self.vector = vector
         self.weight = weight  # millionths
-        self.active = True
-        self.labels = set(labels)
+        self.active = active
         self.fold_acc = fold_acc
+        self._fold_vector = None if fold_acc is None else fold_acc.finalize()
+        self._fold_labels = None if fold_acc is None else frozenset(labels)
+
+    @property
+    def vector(self) -> Hypervector | None:
+        return self._fold_vector if self.hil is None else self.hil.classification_vector
+
+    @property
+    def labels(self) -> frozenset[int]:
+        return self._fold_labels if self.hil is None else frozenset(self.hil.labels())
 
     def __repr__(self):
         state = "active" if self.active else "removed"
@@ -72,6 +86,7 @@ class GlueModel:
         self.seed = check_int("seed", seed)
         self.members: dict[str, GlueMember] = {}
         self._next_index = 0
+        self._terms_read: list | None = None  # (member, vector, weight) of each term last read
         self._glue_vector: Hypervector | None = None
 
     @classmethod
@@ -96,13 +111,15 @@ class GlueModel:
     @property
     def glue_vector(self) -> Hypervector:
         """Weighted majority of the active members' terms, each its model ID bound
-        to its vector; read out once per change of a member or the membership."""
-        if self._glue_vector is None:
+        to its vector; read out again when a term or weight has changed, which a
+        new vector object shows however its model was trained."""
+        terms = [(m, v, m.weight) for m in self.members.values()
+                 if m.active and (v := m.vector) is not None]
+        if terms != self._terms_read:
             tally = ConsensusAccumulator(self.dim, SeedContext(self.seed, "tiebreak-glue", 0))
-            for m in self.members.values():
-                if m.active and m.vector is not None:
-                    tally.add(m.model_id ^ m.vector, Fraction(m.weight, MILLION))
-            self._glue_vector = tally.finalize()
+            for m, vector, weight in terms:
+                tally.add(m.model_id ^ vector, Fraction(weight, MILLION))
+            self._terms_read, self._glue_vector = terms, tally.finalize()
         return self._glue_vector
 
     def _check_room(self, extra: int) -> None:
@@ -121,10 +138,9 @@ class GlueModel:
     def add_model(self, model: HILModel, weight=1.0, name: str | None = None) -> str:
         """Add a model's term; re-adding a removed member restores it exactly.
 
-        A model with no trained classes takes its seat but contributes no
-        term until its first update through :meth:`update_member`. A
-        removed composite from :meth:`compress` has no model of its own:
-        ``add_model(None, name=...)`` is how it is re-added.
+        A model with no trained classes takes its seat and contributes its
+        term once it has trained. A removed composite from :meth:`compress`
+        has no model of its own: ``add_model(None, name=...)`` re-adds it.
         """
         weight = to_millionths(weight)  # a refused weight changes nothing
         self._check_room(weight)  # nor does one the glue's tally cannot hold
@@ -135,11 +151,7 @@ class GlueModel:
             if member.hil is not model:
                 raise InvalidValueError(f"member name {name!r} belongs to a different model")
             member.weight = weight
-            if model is not None:  # the model may have trained while removed
-                member.vector = model.classification_vector
-                member.labels = set(model.labels())
             member.active = True
-            self._glue_vector = None
             return name
         if not isinstance(model, HILModel):
             raise InvalidValueError(f"expected a HILModel, got {type(model).__name__}")
@@ -151,7 +163,7 @@ class GlueModel:
             name = f"m{self._next_index}"
         if name in self.members:
             raise InvalidValueError(f"member name {name!r} already taken")
-        self._seat(name, self._next_index, weight, model.labels(), hil=model)
+        self._seat(name, self._next_index, weight, hil=model)
         self._next_index += 1
         return name
 
@@ -163,19 +175,15 @@ class GlueModel:
         if sum(m.active for m in self.members.values()) == 1:
             raise InvalidValueError("cannot remove the only active member")
         member.active = False
-        self._glue_vector = None
 
     def update_member(self, name: str, rows, labels) -> None:
-        """Feed examples to a live member and re-read its term."""
+        """Feed examples to a live member's model; its term is the model's new vector."""
         member = self.member(name)
         if not member.active:
             raise InvalidValueError(f"member {name!r} is removed")
         if member.hil is None:
             raise InvalidValueError(f"member {name!r} is a folded composite, cannot update")
         member.hil.update(rows, labels)
-        member.vector = member.hil.classification_vector
-        member.labels = set(member.hil.labels())
-        self._glue_vector = None
 
     def compress(self, names, new_weight, name: str | None = None) -> str:
         """Fold several members into one composite seat.
@@ -189,7 +197,6 @@ class GlueModel:
             raise InvalidValueError("folding needs at least two members")
         if len(set(names)) != len(names):
             raise InvalidValueError("duplicate names in fold set")
-        order = {n: i for i, n in enumerate(self.members)}
         picked = []
         for n in names:
             member = self.member(n)
@@ -217,12 +224,12 @@ class GlueModel:
         # Every check has passed; nothing was changed before this point.
         self._next_index += 1
         # Heaviest member keeps answering; earliest seat breaks weight ties.
-        designated = min(picked, key=lambda m: (-m.weight, order[m.name]))
+        designated = min(picked, key=lambda m: (-m.weight, m.index))
 
         for member in picked:
             del self.members[member.name]
-        self._seat(name, index, weight, set().union(*(m.labels for m in picked)),
-                   encoder=designated.encoder, fold_acc=fold_acc)
+        self._seat(name, index, weight, encoder=designated.encoder, fold_acc=fold_acc,
+                   labels=frozenset().union(*(m.labels for m in picked)))
         return name
 
     def _fold_tally(self, index: int, state: bytes | None = None) -> ConsensusAccumulator:
@@ -232,43 +239,28 @@ class GlueModel:
             acc.load_state_bytes(state)
         return acc
 
-    def _seat(self, name, index, weight, labels, hil=None, encoder=None, fold_acc=None,
+    def _seat(self, name, index, weight, hil=None, encoder=None, fold_acc=None, labels=(),
               active=True) -> None:
-        """Seat a member model, or a composite's ``fold_acc``, under its seeded
-        model ID; the glue vector is read again on its next use."""
-        vector = hil.classification_vector if fold_acc is None else fold_acc.finalize()
-        member = self.members[name] = GlueMember(
+        """Seat a member model, or a composite's ``fold_acc`` and ``labels`` with
+        its ``encoder``, under its seeded model ID."""
+        self.members[name] = GlueMember(
             name, index, random_hv(SeedContext(self.seed, "model", index), self.dim),
-            hil.encoder if encoder is None else encoder, hil, vector, weight, labels, fold_acc)
-        member.active = active
-        self._glue_vector = None
-
-    def _restore(self, next_index: int) -> None:
-        """Finish loading a stored glue whose seats are in place: read its
-        vector, which also refuses a weight the tally cannot take."""
-        self._next_index = next_index
-        self.glue_vector
+            hil.encoder if encoder is None else encoder, hil, weight, active, fold_acc, labels)
 
     # -- prediction ------------------------------------------------------
 
     def class_labels(self) -> list[int]:
-        labels = set()
-        for member in self.members.values():
-            if member.active:
-                labels.update(member.labels)
-        return sorted(labels)
+        return sorted(set().union(*(m.labels for m in self.members.values() if m.active)))
 
     def _available(self, available) -> list[GlueMember]:
         if available is None:
             picked = [m for m in self.members.values() if m.active]
         else:
             picked = []
-            seen = set()
             for n in available:
-                if n in seen:
-                    raise InvalidValueError(f"member {n!r} listed twice")
-                seen.add(n)
                 member = self.member(n)
+                if member in picked:
+                    raise InvalidValueError(f"member {n!r} listed twice")
                 if not member.active:
                     raise InvalidValueError(f"member {n!r} is removed")
                 picked.append(member)
@@ -485,7 +477,9 @@ def _top_margin(sims: np.ndarray) -> np.ndarray:
 
 def _memory_bound(threshold: float, dim: int) -> int:
     """Largest Hamming count ``c`` whose similarity ``1.0 - c / dim``, in
-    floats, is at least ``threshold`` (in (0, 1]); the memory hits at or below it."""
+    floats, is at least ``threshold``; the memory hits at or below it."""
+    if not 0.0 < threshold <= 1.0:
+        raise InvalidValueError("memory_threshold must lie in (0, 1]")
     c = min(dim, int((1.0 - threshold) * dim))
     # The closed form can land one off either way in floats; step to the edge.
     while c < dim and 1.0 - (c + 1) / dim >= threshold:
@@ -551,8 +545,7 @@ def fleet_correct(
         raise InvalidValueError(f"{rows.shape[0]} rows vs {len(labels)} labels")
     if max_rounds < 1:
         raise InvalidValueError("max_rounds must be at least 1")
-    if not 0.0 < memory_threshold <= 1.0:
-        raise InvalidValueError("memory_threshold must lie in (0, 1]")
+    _memory_bound(memory_threshold, config.dim)  # refuses a threshold outside (0, 1]
     glue_seed = check_int("glue_seed", glue_seed)
     for lab in labels:
         registry.id_for(lab)  # rejects non-integer and negative labels

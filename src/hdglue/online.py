@@ -71,6 +71,7 @@ class AddModel:
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(check_int("class", c) for c in self.classes))
+        to_millionths(self.weight)  # refuses a weight no glue would take
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,14 @@ from hdglue.data_io import (
     two_cluster_spec,
 )
 from hdglue.glue import ErrorFleet, fleet_correct
-from hdglue.online import OnlineConfig, OnlineSession, session_run, staged_schedule
+from hdglue.online import (
+    OnlineConfig,
+    OnlineSession,
+    schedule_from_json,
+    schedule_to_json,
+    session_run,
+    staged_schedule,
+)
 
 DIM = 1024
 
@@ -441,15 +448,17 @@ def test_fleet_file_stores_its_memory_as_one_matrix():
     assert all("weight" not in entry for entry in config["rounds"])  # recomputed on load
 
 
-def test_glue_refuses_to_save_a_member_trained_outside_it():
+def test_glue_saves_a_member_trained_outside_it_with_its_current_term():
     models = trained_glue_members()[:3]
     glue = GlueModel.build(models)
+    before = model_to_bytes(glue)
     rows = np.random.default_rng(9).normal(0.0, 2.0, size=(4, 32))
-    models[0].update(rows, [0, 1, 2, 3])  # past the glue: its term is now stale
-    with pytest.raises(InvalidValueError, match=r"'m0'.*update_member"):
-        model_to_bytes(glue)
-    glue.update_member("m0", np.empty((0, 32)), [])  # re-seats the term
-    loaded = model_from_bytes(model_to_bytes(glue))
+    models[0].update(rows, [0, 1, 2, 3])  # past the glue: the term follows the model
+    data = model_to_bytes(glue)
+    assert data != before
+    assert data == model_to_bytes(GlueModel.build(models))
+    loaded = model_from_bytes(data)
+    assert model_to_bytes(loaded) == data
     glue.remove_model("m0")
     loaded.remove_model("m0")
     assert model_to_bytes(loaded) == model_to_bytes(glue)
@@ -459,7 +468,8 @@ def test_load_draws_each_tiebreak_once(monkeypatch):
     # A loaded tally goes into the accumulator its model already holds, so
     # no tiebreak vector is drawn a second time for a throwaway copy. A model
     # load reads out nothing, its classification vector being stored; a glue
-    # load reads out its fold tallies and its glue vector.
+    # load reads out its fold tallies, and its glue vector waits for its
+    # first reader.
     draws = collections.Counter()
     original = bundling.random_hv
 
@@ -474,7 +484,11 @@ def test_load_draws_each_tiebreak_once(monkeypatch):
         draws.clear()
         with monkeypatch.context() as m:
             m.setattr(bundling, "random_hv", counted)
-            model_from_bytes(blob)
+            loaded = model_from_bytes(blob)
+            assert sorted({ctx.namespace for ctx in draws}) == (
+                [] if obj is not glue else ["tiebreak-fold"])
+            if obj is glue:
+                loaded.glue_vector
         assert max(draws.values(), default=1) == 1, draws.most_common(3)
         assert sorted({ctx.namespace for ctx in draws}) == (
             [] if obj is not glue else ["tiebreak-fold", "tiebreak-glue"])
@@ -546,7 +560,8 @@ def test_save_model_refuses_unknown_objects(tmp_path):
 
 @functools.cache
 def _container(kind):
-    obj = {"hil": trained_hil, "fleet": trained_fleet, "session": trained_session}[kind]()
+    obj = {"hil": trained_hil, "glue": trained_glue, "fleet": trained_fleet,
+           "session": trained_session}[kind]()
     return data_io._unpack_container(model_to_bytes(obj))
 
 
@@ -570,6 +585,27 @@ def _fractional(*path):
         for key in outer:
             config = config[key]
         config[last] += 0.5
+    return edit
+
+
+def _replaced(value, *path):
+    """Edit: the config field at ``path`` set to ``value``."""
+    def edit(config, blobs):
+        *outer, last = path
+        for key in outer:
+            config = config[key]
+        config[last] = value
+    return edit
+
+
+def _untrained_member(weight):
+    """Edit: a session's glue seats one more active member of ``weight``
+    millionths. It is untrained, so no glue tally ever holds its weight."""
+    def edit(config, blobs):
+        glue = config["glue"]
+        glue["members"].append({**glue["members"][0], "name": "late", "labels": [],
+                                "index": glue["next_index"], "weight": weight})
+        glue["next_index"] += 1
     return edit
 
 
@@ -616,8 +652,20 @@ MALFORMED = [
                  id="member-weight"),
     pytest.param("session", _fractional("glue", "members", 0, "labels", 0), InvalidValueError,
                  id="member-label"),
+    pytest.param("session", _replaced("x", "glue", "members", 0, "active"), type(None),
+                 id="member-text-active"),
+    pytest.param("session", _replaced(1, "glue", "members", 0, "active"), type(None),
+                 id="member-integer-active"),
+    pytest.param("session", _untrained_member(-5), InvalidValueError,
+                 id="untrained-member-negative-weight"),
+    pytest.param("session", _untrained_member(0), InvalidValueError,
+                 id="untrained-member-zero-weight"),
+    pytest.param("session", _untrained_member(2**62), InvalidValueError,
+                 id="untrained-member-weight-at-cap"),
     pytest.param("fleet", _fractional("registry_seed"), InvalidValueError,
                  id="fleet-registry-seed"),
+    pytest.param("glue", _replaced([9, 8], "members", 3, "labels"), type(None),
+                 id="fold-unsorted-labels"),
     pytest.param("fleet", _fractional("rounds", 0, "subset_size"), InvalidValueError,
                  id="fleet-subset-size"),
     pytest.param("fleet", _fractional("rounds", 0, "correct"), InvalidValueError,
@@ -626,6 +674,12 @@ MALFORMED = [
                  InvalidValueError, id="fleet-accuracy"),
     pytest.param("fleet", _fractional("memory_threshold_millionths"), InvalidValueError,
                  id="fleet-memory-threshold"),
+    pytest.param("fleet", _replaced(1_000_001, "rounds", 0, "fleet_accuracy_millionths"),
+                 type(None), id="fleet-accuracy-above-one"),
+    pytest.param("fleet", _replaced(0, "memory_threshold_millionths"), InvalidValueError,
+                 id="fleet-memory-threshold-zero"),
+    pytest.param("fleet", _replaced(2_000_000, "memory_threshold_millionths"), InvalidValueError,
+                 id="fleet-memory-threshold-above-one"),
     pytest.param("fleet", _fractional("glue_seed"), InvalidValueError, id="fleet-glue-seed"),
     pytest.param("fleet", _extra_memory_label, type(None), id="fleet-memory-overcount"),
     pytest.param("fleet", _short_memory_row, ValueError, id="fleet-short-memory-row"),
@@ -680,3 +734,47 @@ def test_any_corruption_is_refused_or_changes_nothing(tmp_path_factory, kind, da
     except DataFormatError:
         return
     assert path.read_bytes() == blob
+
+
+# -- config fields -----------------------------------------------------------
+
+
+def _integer_fields(node, path=()):
+    """Path to every integer or bool in a JSON value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _integer_fields(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _integer_fields(value, path + (i,))
+    elif isinstance(node, int):
+        yield path
+
+
+@functools.cache
+def _schedule_text():
+    return schedule_to_json(staged_schedule(specialist_specs(0), observe_per_class=15))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["hil", "glue", "fleet", "session", "schedule"]), data=st.data())
+def test_any_integer_field_swapped_is_refused_or_re_saves_identically(kind, data):
+    # Every integer and bool a file or a schedule hands in passes one check:
+    # what loads is what the loaded object writes back, byte for byte.
+    if kind == "schedule":
+        config = json.loads(_schedule_text())
+    else:
+        stored_kind, config, blobs = _container(kind)
+        config = json.loads(json.dumps(config))
+    path = data.draw(st.sampled_from(list(_integer_fields(config))))
+    value = data.draw(st.one_of(st.floats(), st.booleans(), st.integers(), st.text()))
+    _replaced(value, *path)(config, None)
+    try:
+        if kind == "schedule":
+            text = json.dumps(config, indent=2, sort_keys=True)  # as schedule_to_json writes
+            assert schedule_to_json(schedule_from_json(text)) == text
+        else:
+            packed = data_io._pack_container(stored_kind, config, dict(blobs))
+            assert model_to_bytes(model_from_bytes(packed)) == packed
+    except DataFormatError:
+        pass

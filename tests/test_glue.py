@@ -310,6 +310,20 @@ def test_cached_glue_vector_follows_every_change_of_the_tally():
         assert glue.glue_vector is glue.glue_vector
         assert glue.glue_vector == readouts.glue_tally(glue).finalize()
 
+    def as_a_fresh_build(weights):
+        fresh()
+        names = glue.active_names()
+        rebuilt = GlueModel.build([glue.member(n).hil for n in names], weights, names, seed=3)
+        assert glue.glue_vector == rebuilt.glue_vector
+        sources = {**{f"m{i}": spec for i, spec in enumerate(specs)}, "blank": specs[0]}
+        queries = {n: np.vstack([sources[n].batch("test", c, range(2)) for c in range(8)])
+                   for n in names}
+        for ours, theirs in zip(glue.predict_batch(queries), rebuilt.predict_batch(queries)):
+            assert np.array_equal(ours, theirs)
+        data = model_to_bytes(glue)
+        assert data == model_to_bytes(rebuilt)
+        assert model_to_bytes(model_from_bytes(data)) == data
+
     for i, model in enumerate(members):
         glue.add_model(model, weight=1.0 + i / 4, name=f"m{i}")
         fresh()
@@ -324,6 +338,15 @@ def test_cached_glue_vector_follows_every_change_of_the_tally():
     fresh()
     glue.update_member("blank", specs[0].batch("train", 1, range(5)), [1] * 5)
     fresh()
+    # trained outside the glue, once while active and once while removed
+    members[2].update(specs[2].batch("train", 6, range(10, 15)), [6] * 5)
+    as_a_fresh_build([1.0, 2.5, 1.5, 1.75, 1.0])
+    glue.remove_model("m3")
+    fresh()
+    members[3].update(specs[3].batch("train", 7, range(10, 15)), [7] * 5)
+    fresh()
+    glue.add_model(members[3], weight=1.75, name="m3")
+    as_a_fresh_build([1.0, 2.5, 1.5, 1.75, 1.0])
     glue.compress(["m2", "m3"], 1.5, name="duo")
     fresh()
     data = model_to_bytes(glue)

@@ -81,9 +81,7 @@ def test_shuffled_training_order_is_bit_identical():
     _, train, _ = two_class_data()
     a = fresh_model(train)
     perm = np.random.default_rng(5).permutation(len(train.labels))
-    b = fresh_model(
-        type(train)(train.values[perm], train.labels[perm], train.provenance)
-    )
+    b = fresh_model(type(train)(train.values[perm], train.labels[perm]))
     assert a.state_digest() == b.state_digest()
 
 
@@ -93,8 +91,8 @@ def test_update_equals_batch_any_split(cut, seed):
     _, train, _ = two_class_data()
     order = np.random.default_rng(seed).permutation(len(train.labels))
     v, y = train.values[order], train.labels[order]
-    whole = fresh_model(type(train)(v, y, "x"))
-    part = fresh_model(type(train)(v[:cut], y[:cut], "x"))
+    whole = fresh_model(type(train)(v, y))
+    part = fresh_model(type(train)(v[:cut], y[:cut]))
     part.update(v[cut:], y[cut:].tolist())
     assert part.state_digest() == whole.state_digest()
 
@@ -117,18 +115,22 @@ def test_update_refuses_an_empty_batch_with_labels():
     assert model.state_digest() == before
 
 
-def test_update_member_with_no_rows_reseats_the_member():
+def test_a_member_trained_outside_its_glue_is_seated_with_its_current_vector():
     _, train, _ = two_class_data()
     registry = ClassRegistry(0, 512)
     models = [HILModel.train(train.values, train.labels.tolist(),
                              EncoderConfig(length=train.length, dim=512, seed=k), registry)
               for k in (1, 2)]
     glue = GlueModel.build(models, seed=0)
-    models[0].update(train.values[:3], [7, 7, 7])  # past the glue: its term is now stale
-    assert glue.member("m0").vector != models[0].classification_vector
-    glue.update_member("m0", [], [])
+    stale = glue.glue_vector
+    models[0].update(train.values[:3], [7, 7, 7])  # past the glue
     assert glue.member("m0").vector is models[0].classification_vector
-    assert glue.state_digest() == GlueModel.build(models, seed=0).state_digest()
+    assert 7 in glue.member("m0").labels
+    fresh = GlueModel.build(models, seed=0)
+    assert glue.glue_vector == fresh.glue_vector != stale
+    assert glue.state_digest() == fresh.state_digest()
+    glue.update_member("m0", [], [])  # no rows: nothing moves
+    assert glue.state_digest() == fresh.state_digest()
 
 
 def test_update_new_label_adds_one_term():
